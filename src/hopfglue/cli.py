@@ -33,7 +33,7 @@ from .gluing import (
     reduce_to_normal_form,
     reduce_to_standard,
 )
-from .linalg import IntMatrix, NotPrimitiveError, NotUnimodularError, UnimodularMatrix
+from .linalg import IntMatrix, NotUnimodularError
 from .selftest import run_selftest
 from .sweep import SweepSpec, SweepSpecError, count_skipped, summarize, sweep
 
@@ -217,10 +217,10 @@ def _params_from_args(triple, completion_text, what):
     a, b, p = triple
     completion = None
     if completion_text is not None:
-        completion = UnimodularMatrix(_parse_nine_ints(completion_text))
+        completion = _parse_nine_ints(completion_text)
     try:
         return LogTransformParams(a, b, p, completion=completion)
-    except (NotPrimitiveError, ValueError) as exc:
+    except ValueError as exc:
         raise DocumentError(f"{what}: {exc}") from exc
 
 
@@ -354,7 +354,7 @@ def cmd_sweep(args) -> int:
         spec = _sweep_spec_from_args(args)
     except (DocumentError, SweepSpecError) as exc:
         return _fail(str(exc), 2)
-    records = sweep(spec, parallel=args.parallel)
+    records = sweep(spec)
     if args.format == "csv":
         lines = [CSV_HEADER] + [_record_csv_row(r) for r in records]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -432,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--word-length", type=int, default=12)
     p.add_argument("--homology-hopf-only", action="store_true")
+    # Accepted for compatibility; sweeps always run serially.
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_sweep)

@@ -26,14 +26,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .abelian import (
-    FgAbelianGroup,
-    Presentation,
-    group_from_presentation,
-    is_isomorphic,
-)
+from .abelian import FgAbelianGroup
 from .linalg import (
     IntMatrix,
     NotPrimitiveError,
@@ -255,6 +249,19 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(m.matrix @ _FLIP)
 
 
+_Z2 = FgAbelianGroup(2, ())
+_Z = FgAbelianGroup(1, ())
+
+
+def group_of_mu(mu: int) -> FgAbelianGroup:
+    """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
+    if mu == 0:
+        return _Z2
+    if mu == 1:
+        return _Z
+    return FgAbelianGroup(1, (mu,))
+
+
 def pi1_single_gluing(m: GluingMatrix) -> FgAbelianGroup:
     """Fundamental group of the glued manifold: Z + Z/gcd(g, h).
 
@@ -262,12 +269,7 @@ def pi1_single_gluing(m: GluingMatrix) -> FgAbelianGroup:
     (g, h); gcd(0, 0) = 0 contributes an extra free summand instead of
     torsion.
     """
-    d = math.gcd(m.g, m.h)
-    if d == 0:
-        return FgAbelianGroup(2, ())
-    if d == 1:
-        return FgAbelianGroup(1, ())
-    return FgAbelianGroup(1, (d,))
+    return group_of_mu(math.gcd(m.g, m.h))
 
 
 def is_homology_hopf(m: GluingMatrix) -> bool:
@@ -276,30 +278,6 @@ def is_homology_hopf(m: GluingMatrix) -> bool:
 
 
 # --- composition of two fiber surgeries --------------------------------
-
-
-def _compose_with(zeta: IntMatrix, plus: LogTransformParams,
-                  minus: LogTransformParams) -> GluingMatrix:
-    left = inverse_unimodular(plus.completion).m
-    return GluingMatrix(left @ zeta @ minus.completion.m)
-
-
-_VARIANT_FLAGS = {
-    "zeta": (False, False),
-    "zeta-left-flip": (True, False),
-    "zeta-right-flip": (False, True),
-    "zeta-both-flip": (True, True),
-}
-
-
-def _variant_matrix(name: str) -> IntMatrix:
-    left, right = _VARIANT_FLAGS[name]
-    z = zeta_matrix().matrix
-    if left:
-        z = _FLIP @ z
-    if right:
-        z = z @ _FLIP
-    return z
 
 
 def random_completion(v, seed: int) -> UnimodularMatrix:
@@ -338,57 +316,35 @@ def _random_primitive_triple(rng, bound: int) -> tuple:
             return t
 
 
-def _agreement_cases():
-    # Fixed cases that discriminate between the sign variants, then a
-    # deterministic random batch.
-    cases = [((1, 0, 1), (1, 0, 1)), ((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (1, 0, 0))]
-    rng = random.Random(0xA1B2)
-    while len(cases) < 40:
-        cases.append(
-            (_random_primitive_triple(rng, 9), _random_primitive_triple(rng, 9))
-        )
-    return cases
-
-
-def _variant_agrees(name: str) -> bool:
-    z = _variant_matrix(name)
-    for idx, (tp, tm) in enumerate(_agreement_cases()):
-        direct = pi1_two_log_transforms(*tp, *tm)
-        for c in range(2):
-            plus = LogTransformParams(*tp, completion=random_completion(tp, 7 * idx + c))
-            minus = LogTransformParams(*tm, completion=random_completion(tm, 11 * idx + c))
-            composed = _compose_with(z, plus, minus)
-            if not is_isomorphic(direct, pi1_single_gluing(composed)):
-                return False
-    return True
-
-
-@lru_cache(maxsize=1)
 def calibrated_zeta_variant() -> str:
-    """Pick the meridian sign convention on which the two fundamental-group
-    routes agree.
+    """The meridian sign convention of the middle gluing: always "zeta".
 
     The basis of the boundary 3-torus is only canonical up to the sign of
     the meridian on each side, which leaves four candidate gluing matrices
-    D @ zeta @ D' with D, D' in {I, diag(1, 1, -1)}.  Exactly one makes the
-    composed-matrix computation match the direct two-relation presentation;
-    this selects it once and caches the answer.
+    D @ zeta @ D' with D, D' in {I, diag(1, 1, -1)}.  Exactly one of them,
+    the raw zeta, makes the composed-matrix computation match the direct
+    two-relation presentation; the tests check that on a fixed agreement
+    suite.  The name is embedded in serialized output as ``zeta_variant``.
     """
-    for name in _VARIANT_FLAGS:
-        if _variant_agrees(name):
-            return name
-    raise RuntimeError("no meridian sign convention passes the agreement suite")
+    return "zeta"
 
 
 def compose_two_fiber(plus: LogTransformParams,
                       minus: LogTransformParams) -> GluingMatrix:
     """Gluing matrix obtained by surgering two fibers of S^1 x S^3.
 
-    Computes inverse(plus.completion) @ zeta @ minus.completion with the
-    calibrated zeta variant.  The invariants of the result depend only on
-    the two triples, not on the completion choices.
+    Computes inverse(plus.completion) @ zeta @ minus.completion.  The
+    invariants of the result depend only on the two triples, not on the
+    completion choices.
     """
-    return _compose_with(_variant_matrix(calibrated_zeta_variant()), plus, minus)
+    left = inverse_unimodular(plus.completion).m
+    return GluingMatrix(left @ zeta_matrix().matrix @ minus.completion.m)
+
+
+def _two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
+    # gcd of the 2-minors of the relation matrix [(a + p, b, -p), (c, d, q)]
+    r0 = a + p
+    return math.gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
 
 
 def pi1_two_log_transforms(a: int, b: int, p: int,
@@ -396,15 +352,18 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
     """Fundamental group from the two surgery relations directly.
 
     The two killed curves give the relation rows (a + p, b, -p) and
-    (c, d, q) over the three torus generators; the group is the cokernel,
-    always of the shape Z + Z/mu with mu the gcd of the 2-minors.
+    (c, d, q) over the three torus generators; the group is their
+    cokernel.  The second row is primitive, so the first invariant factor
+    is 1 and, by Smith's minors theorem, the cokernel is Z + Z/mu with mu
+    the gcd of the three 2-minors (mu = 0 gives Z^2).  That closed form is
+    what is computed here; the tests keep the Smith normal form route
+    (group_from_presentation) as an independent oracle.
     """
     if math.gcd(math.gcd(a, b), p) != 1:
         raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
     if math.gcd(math.gcd(c, d), q) != 1:
         raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
-    pres = Presentation(3, ((a + p, b, -p), (c, d, q)))
-    return group_from_presentation(pres)
+    return group_of_mu(_two_log_mu(a, b, p, c, d, q))
 
 
 # --- constructive reduction with certificates ---------------------------

@@ -4,18 +4,16 @@ A sweep walks a rectangular grid of direction/multiplicity tuples
 (a, b, p, c, d, q), or a seeded sample of random unimodular gluings, and
 records the torsion order mu and the homology classification of each
 cell.  Output order is canonical (lexicographic in the parameters, or by
-sample index), so two runs of the same spec produce identical results,
-with or without internal parallelism.
+sample index), so two runs of the same spec produce identical results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .abelian import FgAbelianGroup, torsion_order
-from .gluing import GluingMatrix, pi1_single_gluing, pi1_two_log_transforms
+from .gluing import GluingMatrix, _two_log_mu, group_of_mu, pi1_single_gluing
 from .linalg import IntMatrix, random_sl3
 
 TUPLE_MODE = "tuple"
@@ -145,10 +143,10 @@ def _mu_of(group: FgAbelianGroup) -> int:
 
 
 def _eval_tuple(params) -> SweepRecord:
-    group = pi1_two_log_transforms(*params)
-    mu = _mu_of(group)
+    # The grid filter has already checked both triples for primitivity.
+    mu = _two_log_mu(*params)
     return SweepRecord(
-        mu=mu, homology_hopf=(mu == 1), group=group, params=params
+        mu=mu, homology_hopf=(mu == 1), group=group_of_mu(mu), params=params
     )
 
 
@@ -164,8 +162,8 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
     """Evaluate the sweep; one record per tuple/sample, canonical order.
 
     Non-primitive tuples are skipped (count them with ``count_skipped``).
-    Cells are independent pure computations, so they may be evaluated
-    concurrently; the ordered merge keeps the output identical either way.
+    ``parallel`` is accepted for compatibility and changes nothing: cells
+    cost microseconds, so evaluating them on threads only adds overhead.
     """
     if spec.mode == TUPLE_MODE:
         cells = [
@@ -181,12 +179,7 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
         ]
         evaluate = _eval_matrix
 
-    if parallel and cells:
-        with ThreadPoolExecutor() as pool:
-            records = list(pool.map(evaluate, cells))
-    else:
-        records = [evaluate(c) for c in cells]
-
+    records = [evaluate(c) for c in cells]
     if spec.homology_hopf_only:
         records = [r for r in records if r.homology_hopf]
     return records

@@ -137,6 +137,20 @@ def test_compose_rejects_mismatched_completion(capsys):
     assert "third column" in err
 
 
+def test_compose_rejects_non_unimodular_completion(capsys):
+    for flag in ("--plus", "--minus"):
+        code, out, err = run(
+            capsys,
+            "compose",
+            "--plus", "1,0,1", "--minus", "1,0,1",
+            f"{flag}-completion", "1,0,0,0,1,0,0,0,2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ")
+        assert "determinant" in err
+
+
 # --- reduce and verify ----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,7 +12,7 @@ from hopfglue.gluing import (
     NotHomologyHopfError,
     OrientationError,
     ReductionCertificate,
-    _variant_agrees,
+    _random_primitive_triple,
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
@@ -37,6 +38,8 @@ from hopfglue.linalg import (
     random_sl3,
     smith_normal_form,
 )
+
+from test_acceptance import _criterion_pairs
 
 
 def _random_primitive(rng, bound=12):
@@ -226,6 +229,32 @@ def test_two_log_transforms_rejects_non_primitive():
         pi1_two_log_transforms(0, 0, 1, 2, 4, 6)
 
 
+def _snf_two_log_group(a, b, p, c, d, q):
+    return group_from_presentation(Presentation(3, ((a + p, b, -p), (c, d, q))))
+
+
+def test_two_log_transforms_closed_form_matches_snf_on_small_box():
+    box = range(-2, 3)
+    triples = [
+        t
+        for t in itertools.product(box, repeat=3)
+        if math.gcd(math.gcd(t[0], t[1]), t[2]) == 1
+    ]
+    assert len(triples) ** 2 == 9604
+    ranks = set()
+    for tp in triples:
+        for tm in triples:
+            group = pi1_two_log_transforms(*tp, *tm)
+            assert group == _snf_two_log_group(*tp, *tm)
+            ranks.add(group.rank)
+    assert ranks == {1, 2}  # the box contains mu = 0 cells
+
+
+def test_two_log_transforms_closed_form_matches_snf_on_criterion_pairs():
+    for tp, tm in _criterion_pairs():
+        assert pi1_two_log_transforms(*tp, *tm) == _snf_two_log_group(*tp, *tm)
+
+
 def test_unimodularity_forces_first_invariant_factor_one():
     rng = random.Random(61)
     for _ in range(500):
@@ -250,8 +279,55 @@ def test_cross_invariant_agreement():
 # --- sign-convention calibration -----------------------------------------------------
 
 
+_FLIP = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+
+_VARIANT_FLAGS = {
+    "zeta": (False, False),
+    "zeta-left-flip": (True, False),
+    "zeta-right-flip": (False, True),
+    "zeta-both-flip": (True, True),
+}
+
+
+def _variant_matrix(name):
+    left, right = _VARIANT_FLAGS[name]
+    z = zeta_matrix().matrix
+    if left:
+        z = _FLIP @ z
+    if right:
+        z = z @ _FLIP
+    return z
+
+
+def _agreement_cases():
+    # Fixed cases that discriminate between the sign variants, then a
+    # deterministic random batch.
+    cases = [((1, 0, 1), (1, 0, 1)), ((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (1, 0, 0))]
+    rng = random.Random(0xA1B2)
+    while len(cases) < 40:
+        cases.append(
+            (_random_primitive_triple(rng, 9), _random_primitive_triple(rng, 9))
+        )
+    return cases
+
+
+def _variant_agrees(name):
+    z = _variant_matrix(name)
+    for idx, (tp, tm) in enumerate(_agreement_cases()):
+        direct = pi1_two_log_transforms(*tp, *tm)
+        for c in range(2):
+            plus = LogTransformParams(*tp, completion=random_completion(tp, 7 * idx + c))
+            minus = LogTransformParams(*tm, completion=random_completion(tm, 11 * idx + c))
+            left = inverse_unimodular(plus.completion).m
+            composed = GluingMatrix(left @ z @ minus.completion.m)
+            if direct != pi1_single_gluing(composed):
+                return False
+    return True
+
+
 def test_calibration_selects_raw_zeta():
     assert calibrated_zeta_variant() == "zeta"
+    assert _variant_matrix(calibrated_zeta_variant()) == zeta_matrix().matrix
 
 
 def test_flipped_variants_fail_the_agreement_suite():
