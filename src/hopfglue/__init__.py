@@ -72,6 +72,7 @@ from .sweep import (
     SweepSpecError,
     SweepSummary,
     count_skipped,
+    iter_sweep,
     summarize,
     sweep,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "is_extendable",
     "is_homology_hopf",
     "is_isomorphic",
+    "iter_sweep",
     "multiply",
     "normalize_to_sl3",
     "pi1_single_gluing",

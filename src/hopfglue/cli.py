@@ -35,7 +35,7 @@ from .gluing import (
 )
 from .linalg import IntMatrix, NotUnimodularError
 from .selftest import run_selftest
-from .sweep import SweepSpec, SweepSpecError, count_skipped, summarize, sweep
+from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize, sweep
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -53,10 +53,6 @@ class DocumentError(ValueError):
 # --- document (de)serialization -----------------------------------------
 
 
-def _matrix_to_lists(m: IntMatrix) -> list:
-    return m.to_lists()
-
-
 def _lists_to_matrix(obj, what="matrix") -> IntMatrix:
     if (
         not isinstance(obj, list)
@@ -70,7 +66,7 @@ def _lists_to_matrix(obj, what="matrix") -> IntMatrix:
 
 def matrix_document(m: GluingMatrix) -> dict:
     return {
-        "matrix": _matrix_to_lists(m.matrix),
+        "matrix": m.matrix.to_lists(),
         "convention": CONVENTION,
         "zeta_variant": calibrated_zeta_variant(),
     }
@@ -91,10 +87,10 @@ def parse_matrix_document(obj) -> GluingMatrix:
 
 def certificate_document(cert: ReductionCertificate) -> dict:
     return {
-        "input": _matrix_to_lists(cert.input),
-        "output": _matrix_to_lists(cert.output),
-        "left_factors": [_matrix_to_lists(f) for f in cert.left_factors],
-        "right_factors": [_matrix_to_lists(f) for f in cert.right_factors],
+        "input": cert.input.to_lists(),
+        "output": cert.output.to_lists(),
+        "left_factors": [f.to_lists() for f in cert.left_factors],
+        "right_factors": [f.to_lists() for f in cert.right_factors],
         "order": FACTOR_ORDER,
         "convention": CONVENTION,
         "zeta_variant": calibrated_zeta_variant(),
@@ -110,8 +106,18 @@ def parse_certificate_document(obj) -> ReductionCertificate:
     for key in ("left_factors", "right_factors"):
         if not isinstance(obj[key], list):
             raise DocumentError(f'"{key}" must be an array')
+    for key, tag in (("order", FACTOR_ORDER), ("convention", CONVENTION),
+                     ("zeta_variant", calibrated_zeta_variant())):
+        if obj.get(key, tag) != tag:
+            raise DocumentError(f"unsupported {key} {obj[key]!r}")
+    # The product identity then forces the output to be unimodular too.
+    source = _lists_to_matrix(obj["input"], "input")
+    try:
+        GluingMatrix(source)
+    except NotUnimodularError as exc:
+        raise DocumentError(f"input is not a gluing: {exc}") from exc
     return ReductionCertificate(
-        input=_lists_to_matrix(obj["input"], "input"),
+        input=source,
         left_factors=tuple(
             _lists_to_matrix(f, f"left factor {i}")
             for i, f in enumerate(obj["left_factors"])
@@ -178,7 +184,7 @@ def _load_gluing_matrix(args) -> GluingMatrix:
                 obj = json.load(fh)
         except OSError as exc:
             raise DocumentError(f"cannot read {args.file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DocumentError(f"bad JSON in {args.file}: {exc}") from exc
         return parse_matrix_document(obj)
     mat = _parse_nine_ints(args.matrix)
@@ -206,7 +212,7 @@ def cmd_classify(args) -> int:
             "gcd_gh": math.gcd(gm.g, gm.h),
             "group": _group_report(group),
             "homology_hopf": is_homology_hopf(gm),
-            "matrix": _matrix_to_lists(gm.matrix),
+            "matrix": gm.matrix.to_lists(),
             "zeta_variant": calibrated_zeta_variant(),
         }
     )
@@ -239,7 +245,7 @@ def cmd_compose(args) -> int:
     _emit_json(
         {
             "agreement": agreement,
-            "composed_matrix": _matrix_to_lists(composed.matrix),
+            "composed_matrix": composed.matrix.to_lists(),
             "convention": CONVENTION,
             "det": composed.det,
             "g": composed.g,
@@ -282,7 +288,7 @@ def cmd_verify(args) -> int:
                 obj = json.load(fh)
         else:
             obj = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot parse certificate: {exc}", 2)
     try:
         cert = parse_certificate_document(obj)
@@ -345,7 +351,7 @@ def _record_json(r) -> dict:
     if r.params is not None:
         obj.update(zip(("a", "b", "p", "c", "d", "q"), r.params))
     else:
-        obj["matrix"] = _matrix_to_lists(r.matrix)
+        obj["matrix"] = r.matrix.to_lists()
     return obj
 
 
@@ -354,11 +360,11 @@ def cmd_sweep(args) -> int:
         spec = _sweep_spec_from_args(args)
     except (DocumentError, SweepSpecError) as exc:
         return _fail(str(exc), 2)
-    records = sweep(spec)
     if args.format == "csv":
-        lines = [CSV_HEADER] + [_record_csv_row(r) for r in records]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(CSV_HEADER + "\n")
+        sys.stdout.writelines(_record_csv_row(r) + "\n" for r in iter_sweep(spec))
         return 0
+    records = sweep(spec)
     s = summarize(records)
     _emit_json(
         {

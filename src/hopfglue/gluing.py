@@ -33,7 +33,6 @@ from .linalg import (
     NotPrimitiveError,
     UnimodularMatrix,
     complete_primitive_to_sl3,
-    determinant,
     inverse_unimodular,
     sl2_carry_to_e1,
 )
@@ -234,7 +233,8 @@ def is_extendable(m) -> bool:
         return False
     if mat[0, 2] != 0 or mat[1, 2] != 0 or mat[2, 2] != 1:
         return False
-    return determinant(mat) == 1
+    # With third column (0, 0, 1) the determinant is that of the 2x2 block.
+    return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] == 1
 
 
 def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:

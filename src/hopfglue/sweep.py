@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .abelian import FgAbelianGroup, torsion_order
-from .gluing import GluingMatrix, _two_log_mu, group_of_mu, pi1_single_gluing
+from .abelian import FgAbelianGroup
+from .gluing import _two_log_mu, group_of_mu
 from .linalg import IntMatrix, random_sl3
 
 TUPLE_MODE = "tuple"
@@ -109,80 +109,70 @@ class SweepSummary:
         return dict(self.mu_counts)
 
 
-def _is_primitive(x, y, z) -> bool:
-    return math.gcd(math.gcd(x, y), z) == 1
-
-
-def _iter_tuples(spec: SweepSpec):
-    ar, br, pr, cr, dr, qr = (
-        spec.a_range, spec.b_range, spec.p_range,
-        spec.c_range, spec.d_range, spec.q_range,
-    )
-    for a in range(ar[0], ar[1] + 1):
-        for b in range(br[0], br[1] + 1):
-            for p in range(pr[0], pr[1] + 1):
-                for c in range(cr[0], cr[1] + 1):
-                    for d in range(dr[0], dr[1] + 1):
-                        for q in range(qr[0], qr[1] + 1):
-                            yield (a, b, p, c, d, q)
+def _primitive_triples(xr, yr, zr):
+    """The primitive triples of three inclusive ranges, lexicographically."""
+    zs = range(zr[0], zr[1] + 1)
+    for x in range(xr[0], xr[1] + 1):
+        for y in range(yr[0], yr[1] + 1):
+            g = math.gcd(x, y)
+            for z in zs:
+                if math.gcd(g, z) == 1:
+                    yield (x, y, z)
 
 
 def count_skipped(spec: SweepSpec) -> int:
-    """How many grid cells a tuple sweep skips as non-primitive."""
+    """How many grid cells a tuple sweep skips as non-primitive.
+
+    The grid size minus |primitive plus-triples| * |primitive minus-triples|.
+    """
     if spec.mode != TUPLE_MODE:
         return 0
-    return sum(
-        1
-        for (a, b, p, c, d, q) in _iter_tuples(spec)
-        if not (_is_primitive(a, b, p) and _is_primitive(c, d, q))
-    )
+    ranges = (spec.a_range, spec.b_range, spec.p_range,
+              spec.c_range, spec.d_range, spec.q_range)
+    grid = math.prod(hi - lo + 1 for lo, hi in ranges)
+    plus = sum(1 for _ in _primitive_triples(*ranges[:3]))
+    minus = sum(1 for _ in _primitive_triples(*ranges[3:]))
+    return grid - plus * minus
 
 
-def _mu_of(group: FgAbelianGroup) -> int:
-    return 0 if group.rank == 2 else torsion_order(group)
+def _record(mu: int, **where) -> SweepRecord:
+    return SweepRecord(mu=mu, homology_hopf=(mu == 1), group=group_of_mu(mu), **where)
 
 
-def _eval_tuple(params) -> SweepRecord:
-    # The grid filter has already checked both triples for primitivity.
-    mu = _two_log_mu(*params)
-    return SweepRecord(
-        mu=mu, homology_hopf=(mu == 1), group=group_of_mu(mu), params=params
-    )
+def iter_sweep(spec: SweepSpec):
+    """Yield the records of ``sweep(spec)`` lazily, in the same order.
 
-
-def _eval_matrix(gm: GluingMatrix) -> SweepRecord:
-    group = pi1_single_gluing(gm)
-    mu = _mu_of(group)
-    return SweepRecord(
-        mu=mu, homology_hopf=(mu == 1), group=group, matrix=gm.matrix
-    )
+    Tuple mode crosses the primitive plus-triples (a, b, p), iterated
+    lazily, with the primitive minus-triples (c, d, q), held in memory, so
+    memory grows with the minus half-range rather than the grid.  Matrix
+    mode reads mu = gcd(g, h) straight off each sampled matrix.
+    """
+    if spec.mode == TUPLE_MODE:
+        minus = tuple(_primitive_triples(spec.c_range, spec.d_range, spec.q_range))
+        records = (
+            _record(_two_log_mu(*tp, *tm), params=tp + tm)
+            for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range)
+            for tm in minus
+        )
+    else:
+        records = (
+            _record(math.gcd(m[0, 2], m[1, 2]), matrix=m)
+            for m in (random_sl3(spec.seed + i, spec.word_length).m
+                      for i in range(spec.sample_count))
+        )
+    if spec.homology_hopf_only:
+        records = (r for r in records if r.homology_hopf)
+    yield from records
 
 
 def sweep(spec: SweepSpec, parallel: bool = False) -> list:
-    """Evaluate the sweep; one record per tuple/sample, canonical order.
+    """All records of ``iter_sweep(spec)`` as a list, in canonical order.
 
     Non-primitive tuples are skipped (count them with ``count_skipped``).
     ``parallel`` is accepted for compatibility and changes nothing: cells
     cost microseconds, so evaluating them on threads only adds overhead.
     """
-    if spec.mode == TUPLE_MODE:
-        cells = [
-            t
-            for t in _iter_tuples(spec)
-            if _is_primitive(*t[:3]) and _is_primitive(*t[3:])
-        ]
-        evaluate = _eval_tuple
-    else:
-        cells = [
-            GluingMatrix(random_sl3(spec.seed + i, spec.word_length))
-            for i in range(spec.sample_count)
-        ]
-        evaluate = _eval_matrix
-
-    records = [evaluate(c) for c in cells]
-    if spec.homology_hopf_only:
-        records = [r for r in records if r.homology_hopf]
-    return records
+    return list(iter_sweep(spec))
 
 
 def summarize(records) -> SweepSummary:

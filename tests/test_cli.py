@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 from hopfglue.cli import (
     CSV_HEADER,
@@ -230,6 +232,57 @@ def test_verify_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, out, _ = run(capsys, "verify")
     assert code == 0 and out == "VALID\n"
+
+
+def test_verify_rejects_input_that_is_not_a_gluing(tmp_path, capsys):
+    diag = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(
+        {"input": diag, "output": diag, "left_factors": [], "right_factors": []}
+    ))
+    code, out, err = run(capsys, "verify", "--file", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert "input" in err
+
+
+def test_verify_checks_document_tags(tmp_path, capsys):
+    doc = json.loads(run(capsys, "reduce", "--matrix", "1,0,2,0,1,1,0,0,1")[1])
+    cert_path = tmp_path / "cert.json"
+    for key in ("order", "convention", "zeta_variant"):
+        cert_path.write_text(json.dumps(dict(doc, **{key: "bogus"})))
+        code, out, err = run(capsys, "verify", "--file", str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert key in err
+    for key in ("order", "convention", "zeta_variant"):
+        del doc[key]
+    cert_path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--file", str(cert_path))[:2] == (0, "VALID\n")
+
+
+# A 5001-digit entry: over the interpreter's int/str conversion limit where
+# one is set (4,300 digits by default), and a non-unimodular matrix otherwise.
+HUGE_DIAG = "[[1" + "0" * 5000 + ", 0, 0], [0, 1, 0], [0, 0, 1]]"
+INT_LIMIT_HIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001
+
+
+def test_oversize_integers_in_documents_exit_two(tmp_path, capsys, monkeypatch):
+    cert = ('{"input": %s, "output": %s, "left_factors": [], "right_factors": []}'
+            % (HUGE_DIAG, HUGE_DIAG))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert)
+    monkeypatch.setattr("sys.stdin", io.StringIO(cert))
+    for argv in (("verify", "--file", str(cert_path)), ("verify",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        if INT_LIMIT_HIT:
+            assert "parse" in err
+
+    doc = tmp_path / "m.json"
+    doc.write_text('{"matrix": %s}' % HUGE_DIAG)
+    code, out, _ = run(capsys, "classify", "--file", str(doc))
+    assert code == 2 and out == ""
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import math
+import signal
+
 import pytest
 
 from hopfglue.abelian import torsion_order
@@ -5,6 +10,7 @@ from hopfglue.sweep import (
     SweepSpec,
     SweepSpecError,
     count_skipped,
+    iter_sweep,
     summarize,
     sweep,
 )
@@ -107,3 +113,73 @@ def test_invalid_specs_raise():
         SweepSpec.matrices(-1)
     with pytest.raises(SweepSpecError):
         SweepSpec(mode="bogus")
+
+
+# Both halves vary and both hold non-primitive triples: zero directions,
+# gcd-2 and gcd-3 directions, and multiplicities sharing their factors.
+ASYMMETRIC_SPECS = [
+    SweepSpec.tuples(a=(-2, 2), b=(0, 2), p=(-1, 3), c=(0, 4), d=(-2, 0), q=(2, 2)),
+    SweepSpec.tuples(a=(0, 0), b=(2, 4), p=(-4, 4), c=(-3, 1), d=(0, 0), q=(0, 6)),
+    SweepSpec.tuples(a=(0, 3), b=(0, 0), p=(-2, 2), c=(2, 2), d=(-2, 2), q=(-3, 3)),
+]
+
+
+def grid_walk(spec):
+    """The kept cells and the skipped count, by a brute-force six-deep walk."""
+    ranges = (spec.a_range, spec.b_range, spec.p_range,
+              spec.c_range, spec.d_range, spec.q_range)
+    kept, skipped = [], 0
+    for t in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        if math.gcd(*t[:3]) == 1 and math.gcd(*t[3:]) == 1:
+            kept.append(t)
+        else:
+            skipped += 1
+    return kept, skipped
+
+
+@pytest.mark.parametrize("hopf_only", [False, True])
+@pytest.mark.parametrize("spec", ASYMMETRIC_SPECS)
+def test_count_skipped_matches_grid_walk(spec, hopf_only):
+    spec = dataclasses.replace(spec, homology_hopf_only=hopf_only)
+    kept, skipped = grid_walk(spec)
+    assert 0 < skipped < len(kept) + skipped
+    assert count_skipped(spec) == skipped
+    records = sweep(dataclasses.replace(spec, homology_hopf_only=False))
+    assert [r.params for r in records] == kept
+    if hopf_only:
+        assert sweep(spec) == [r for r in records if r.homology_hopf]
+
+
+def test_count_skipped_is_zero_in_matrix_mode():
+    assert count_skipped(SweepSpec.matrices(20, seed=1)) == 0
+
+
+@pytest.mark.parametrize("spec", [
+    nine_cell_spec(),
+    nine_cell_spec(homology_hopf_only=True),
+    ASYMMETRIC_SPECS[0],
+    SweepSpec.matrices(30, seed=4),
+    SweepSpec.matrices(30, seed=4, homology_hopf_only=True),
+    SweepSpec.matrices(0),
+])
+def test_iter_sweep_yields_the_sweep_records(spec):
+    assert list(iter_sweep(spec)) == sweep(spec)
+
+
+def test_iter_sweep_is_lazy():
+    def too_slow(signum, frame):
+        raise TimeoutError("iter_sweep did not yield its first record at once")
+
+    spec = SweepSpec.tuples(a=(1, 1), b=(0, 0), p=(0, 10**12),
+                            c=(1, 1), d=(0, 0), q=(0, 2))
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        records = iter_sweep(spec)
+        first = [next(records) for _ in range(4)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [r.params for r in first] == [
+        (1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 0, 2), (1, 0, 1, 1, 0, 0),
+    ]
