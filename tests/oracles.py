@@ -6,6 +6,7 @@ routes to the same values.
 """
 
 import math
+import random
 from itertools import combinations, permutations
 
 
@@ -71,3 +72,19 @@ def matrix_from_index(index, shape, lo, hi):
         index, digit = divmod(index, base)
         entries.append(lo + digit)
     return [entries[i * n : (i + 1) * n] for i in range(m)]
+
+
+def reference_random_sl3(seed, word_length):
+    """The rows of random_sl3(seed, word_length), by its original rng loop.
+
+    Each step draws an ordered pair of distinct rows with ``rng.sample``
+    and a sign with ``rng.choice``, then adds the signed second row to the
+    first.
+    """
+    rng = random.Random(seed)
+    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    for _ in range(word_length):
+        i, j = rng.sample(range(3), 2)
+        s = rng.choice((1, -1))
+        m[i] = [x + s * y for x, y in zip(m[i], m[j])]
+    return m

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -20,7 +22,13 @@ from hopfglue.linalg import (
     smith_normal_form,
 )
 
-from oracles import leibniz_det, matrix_from_index, minors_gcd, naive_product
+from oracles import (
+    leibniz_det,
+    matrix_from_index,
+    minors_gcd,
+    naive_product,
+    reference_random_sl3,
+)
 
 
 # --- IntMatrix basics ---------------------------------------------------
@@ -333,3 +341,29 @@ def test_random_sl3_always_det_one():
 def test_random_sl3_deterministic():
     for seed in (0, 1, 42):
         assert random_sl3(seed, 20) == random_sl3(seed, 20)
+
+
+#: sha256 of the first 1,000 (seed, matrix) pairs at word lengths 12, 48
+#: and 192, recorded from the original rng.sample/rng.choice loop.
+RANDOM_SL3_STREAM_SHA256 = (
+    "2cf158f16a05320b188322a92e93358b68ee1c4e8add02118d4a1c64ccf31ea7"
+)
+
+
+def test_random_sl3_stream_is_pinned():
+    h = hashlib.sha256()
+    for word_length in (12, 48, 192):
+        for seed in range(1000):
+            rows = random_sl3(seed, word_length).m.to_lists()
+            h.update(json.dumps([seed, word_length, rows]).encode() + b"\n")
+    assert h.hexdigest() == RANDOM_SL3_STREAM_SHA256
+
+
+def test_random_sl3_matches_reference_loop():
+    for word_length in (-3, 0, 1, 2, 5, 12, 48):
+        for seed in range(300):
+            expected = reference_random_sl3(seed, word_length)
+            assert random_sl3(seed, word_length).m.to_lists() == expected
+    # Long enough to refill the random stream several times.
+    for seed in (0, 1, 2**64 + 7):
+        assert random_sl3(seed, 5000).m.to_lists() == reference_random_sl3(seed, 5000)
