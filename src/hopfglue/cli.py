@@ -6,7 +6,9 @@ failure, 3 cross-invariant disagreement, 4 not a homology Hopf gluing,
 5 invalid certificate.
 
 JSON is always emitted with sorted keys and two-space indentation, so
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output.  A result holding an
+integer too long for the interpreter's int/str conversion limit is a
+validation failure (exit 2), not a crash.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .gluing import (
 )
 from .linalg import IntMatrix, NotUnimodularError
 from .selftest import run_selftest
-from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize, sweep
+from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -50,6 +52,16 @@ class DocumentError(ValueError):
     """A document failed to parse or validate."""
 
 
+class OutputError(ValueError):
+    """A result holds an integer too long to write as decimal text."""
+
+    def __init__(self):
+        super().__init__(
+            "result holds an integer longer than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit int/str conversion limit"
+        )
+
+
 # --- document (de)serialization -----------------------------------------
 
 
@@ -61,7 +73,7 @@ def _lists_to_matrix(obj, what="matrix") -> IntMatrix:
         or any(not isinstance(x, int) or isinstance(x, bool) for row in obj for x in row)
     ):
         raise DocumentError(f"{what} must be a 3x3 array of integers")
-    return IntMatrix(obj)
+    return IntMatrix._trusted(tuple(map(tuple, obj)))
 
 
 def matrix_document(m: GluingMatrix) -> dict:
@@ -134,8 +146,15 @@ def _group_report(g: FgAbelianGroup) -> dict:
     return {"rank": g.rank, "invariant_factors": list(g.invariant_factors)}
 
 
+def _dumps(obj) -> str:
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    except ValueError as exc:  # the only failure on plain ints, lists and dicts
+        raise OutputError() from exc
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -332,13 +351,16 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def _record_csv_row(r) -> str:
-    factors = "|".join(str(f) for f in r.group.invariant_factors)
     hh = "true" if r.homology_hopf else "false"
-    if r.params is not None:
-        head = ",".join(str(x) for x in r.params)
-    else:
-        head = ",,,,,"
-    return f"{head},{r.mu},{hh},{r.group.rank},{factors}"
+    try:
+        factors = "|".join(str(f) for f in r.group.invariant_factors)
+        if r.params is not None:
+            head = ",".join(str(x) for x in r.params)
+        else:
+            head = ",,,,,"
+        return f"{head},{r.mu},{hh},{r.group.rank},{factors}"
+    except ValueError as exc:
+        raise OutputError() from exc
 
 
 def _record_json(r) -> dict:
@@ -355,31 +377,44 @@ def _record_json(r) -> dict:
     return obj
 
 
+def _write_json_records(out, records):
+    """Write records as the elements of the document's "records" array.
+
+    Yields each record once it is written, so the caller can tally them.
+    """
+    sep = "\n    "
+    for r in records:
+        out.write(sep + _dumps(_record_json(r)).replace("\n", "\n    "))
+        sep = ",\n    "
+        yield r
+    out.write("]" if sep == "\n    " else "\n  ]")
+
+
 def cmd_sweep(args) -> int:
     try:
         spec = _sweep_spec_from_args(args)
     except (DocumentError, SweepSpecError) as exc:
         return _fail(str(exc), 2)
+    out = sys.stdout
     if args.format == "csv":
-        sys.stdout.write(CSV_HEADER + "\n")
-        sys.stdout.writelines(_record_csv_row(r) + "\n" for r in iter_sweep(spec))
+        out.write(CSV_HEADER + "\n")
+        out.writelines(_record_csv_row(r) + "\n" for r in iter_sweep(spec))
         return 0
-    records = sweep(spec)
-    s = summarize(records)
-    _emit_json(
-        {
-            "convention": CONVENTION,
-            "mode": spec.mode,
-            "records": [_record_json(r) for r in records],
-            "summary": {
-                "counts_by_mu": [[mu, n] for mu, n in s.mu_counts],
-                "homology_hopf": s.homology_hopf_count,
-                "skipped_non_primitive": count_skipped(spec),
-                "total": s.total,
-            },
-            "zeta_variant": calibrated_zeta_variant(),
-        }
-    )
+    # The bytes of _emit_json on the whole document, written as the records
+    # come: sorted, the keys are convention, mode, records, summary and
+    # zeta_variant, so everything after the records is known by then.
+    out.write('{\n  "convention": %s,\n  "mode": %s,\n  "records": ['
+              % (json.dumps(CONVENTION), json.dumps(spec.mode)))
+    s = summarize(_write_json_records(out, iter_sweep(spec)))
+    summary = {
+        "counts_by_mu": [[mu, n] for mu, n in s.mu_counts],
+        "homology_hopf": s.homology_hopf_count,
+        "skipped_non_primitive": count_skipped(spec),
+        "total": s.total,
+    }
+    out.write(',\n  "summary": %s,\n  "zeta_variant": %s\n}\n'
+              % (_dumps(summary).replace("\n", "\n  "),
+                 json.dumps(calibrated_zeta_variant())))
     return 0
 
 
@@ -455,7 +490,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OutputError as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ class ReductionError(RuntimeError):
     """A reduction produced something other than the promised output."""
 
 
-_FLIP = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])  # meridian sign flip
+_FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))  # meridian sign flip
+_N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])  # the standard gluing
 
 
 class GluingMatrix:
@@ -165,10 +166,8 @@ class NormalForm:
 
     @property
     def matrix(self) -> IntMatrix:
-        b = self.block
-        return IntMatrix(
-            [[b[0, 0], b[0, 1], 1], [b[1, 0], b[1, 1], 0], [0, 0, 1]]
-        )
+        (a, c), (b, d) = self.block._rows
+        return IntMatrix._trusted(((a, c, 1), (b, d, 0), (0, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def zeta_matrix() -> GluingMatrix:
 
 def standard_gluing_matrix() -> GluingMatrix:
     """The normal form with identity block: the reduction target N0."""
-    return GluingMatrix(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    return GluingMatrix(_N0)
 
 
 def is_extendable(m) -> bool:
@@ -228,13 +227,12 @@ def is_extendable(m) -> bool:
     True iff the third column is exactly (0, 0, 1) and the determinant is
     +1; the entries below the 2x2 torus block are unconstrained.
     """
-    mat = _as_matrix(m)
-    if (mat.rows, mat.cols) != (3, 3):
+    rows = _as_matrix(m)._rows
+    if len(rows) != 3 or len(rows[0]) != 3:
         return False
-    if mat[0, 2] != 0 or mat[1, 2] != 0 or mat[2, 2] != 1:
-        return False
+    (a, c, x), (b, d, y), (_, _, z) = rows
     # With third column (0, 0, 1) the determinant is that of the 2x2 block.
-    return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] == 1
+    return x == 0 and y == 0 and z == 1 and a * d - c * b == 1
 
 
 def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
@@ -246,7 +244,7 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
     """
     if m.det == 1:
         return m
-    return GluingMatrix(m.matrix @ _FLIP)
+    return GluingMatrix(m.m @ _FLIP)
 
 
 _Z2 = FgAbelianGroup(2, ())
@@ -337,8 +335,9 @@ def compose_two_fiber(plus: LogTransformParams,
     invariants of the result depend only on the two triples, not on the
     completion choices.
     """
-    left = inverse_unimodular(plus.completion).m
-    return GluingMatrix(left @ zeta_matrix().matrix @ minus.completion.m)
+    return GluingMatrix(
+        inverse_unimodular(plus.completion) @ zeta_matrix().m @ minus.completion
+    )
 
 
 def _two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
@@ -370,10 +369,8 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
 
 
 def _embed_sl2_upper_left(u2: UnimodularMatrix) -> IntMatrix:
-    b = u2.m
-    return IntMatrix(
-        [[b[0, 0], b[0, 1], 0], [b[1, 0], b[1, 1], 0], [0, 0, 1]]
-    )
+    (a, c), (b, d) = u2.m._rows
+    return IntMatrix._trusted(((a, c, 0), (b, d, 0), (0, 0, 1)))
 
 
 _I3 = IntMatrix.identity(3)
@@ -413,14 +410,14 @@ def reduce_to_normal_form(m: GluingMatrix):
 
     k = current[2, 2]
     if k != 1:
-        shear = IntMatrix([[1, 0, 0], [0, 1, 0], [-(k - 1), 0, 1]])
+        shear = IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (1 - k, 0, 1)))
         current = shear @ current
         left.append(shear)
 
     right = []
     e, f = current[2, 0], current[2, 1]
     if e != 0 or f != 0:
-        shear = IntMatrix([[1, 0, 0], [0, 1, 0], [-e, -f, 1]])
+        shear = IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (-e, -f, 1)))
         current = current @ shear
         right.append(shear)
 
@@ -437,10 +434,8 @@ def reduce_to_normal_form(m: GluingMatrix):
         right_factors=tuple(right),
         output=current,
     )
-    block = IntMatrix(
-        [[current[0, 0], current[0, 1]], [current[1, 0], current[1, 1]]]
-    )
-    return NormalForm(block), cert
+    (a, c, _), (b, d, _) = current._rows[:2]
+    return NormalForm(IntMatrix._trusted(((a, c), (b, d)))), cert
 
 
 def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
@@ -452,10 +447,8 @@ def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
     verify.
     """
     nf, cert = reduce_to_normal_form(m)
-    b = nf.block
-    undo = IntMatrix(
-        [[b[1, 1], -b[0, 1], 0], [-b[1, 0], b[0, 0], 0], [0, 0, 1]]
-    )
+    (a, c), (b, d) = nf.block._rows
+    undo = IntMatrix._trusted(((d, -c, 0), (-b, a, 0), (0, 0, 1)))
     output = cert.output
     right = cert.right_factors
     if undo != _I3:
@@ -467,7 +460,7 @@ def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
         right_factors=right,
         output=output,
     )
-    if output != standard_gluing_matrix().matrix:
+    if output != _N0:
         raise ReductionError(f"expected the standard gluing, got {output!r}")
     if not verify_certificate(result):
         raise ReductionError("certificate failed verification")

@@ -9,6 +9,12 @@ The module provides products, determinants, unimodular inverses, the
 extended Euclidean algorithm, Smith normal form with its transformation
 matrices, gcds of k-minors, and completions of primitive vectors to
 determinant-one matrices.
+
+Every matrix the library meets at run time is 3x3 (or 2x3, 2x2), so
+products, determinants and inverses of that size are written out in
+closed form; other shapes take the general routes.  Public constructors
+validate their input; matrices the module builds from ints it already
+holds go through the private, unchecked ``_trusted`` constructors.
 """
 
 from __future__ import annotations
@@ -29,6 +35,17 @@ class NotUnimodularError(ValueError):
 
 class NotPrimitiveError(ValueError):
     """The entries of an integer vector share a common divisor > 1."""
+
+
+_I3_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _describe(n: int) -> str:
+    """``n`` in decimal, or its size if it is too long for the int/str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"an integer of {n.bit_length()} bits"
 
 
 class IntMatrix:
@@ -55,6 +72,13 @@ class IntMatrix:
                         f"entries must be int, got {type(entry).__name__}"
                     )
         self._rows = data
+
+    @classmethod
+    def _trusted(cls, rows) -> "IntMatrix":
+        """Wrap ``rows``, a non-empty tuple of equal-length int tuples, unchecked."""
+        self = object.__new__(cls)
+        self._rows = rows
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -86,13 +110,13 @@ class IntMatrix:
         return [list(row) for row in self._rows]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self._rows))
+        return IntMatrix._trusted(tuple(zip(*self._rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return multiply(self, other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._rows])
+        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -122,16 +146,25 @@ class UnimodularMatrix:
             raise ShapeError("unimodular matrices must be square")
         d = determinant(m)
         if d not in (1, -1):
-            raise NotUnimodularError(f"determinant is {d}, expected +1 or -1")
+            raise NotUnimodularError(f"determinant is {_describe(d)}, expected +1 or -1")
         self.m = m
         self.det = d
+
+    @classmethod
+    def _trusted(cls, m: IntMatrix, det: int) -> "UnimodularMatrix":
+        """Wrap a square ``m`` already known to have determinant ``det``."""
+        self = object.__new__(cls)
+        self.m = m
+        self.det = det
+        return self
 
     def inverse(self) -> "UnimodularMatrix":
         return inverse_unimodular(self)
 
     def __matmul__(self, other):
         if isinstance(other, UnimodularMatrix):
-            return UnimodularMatrix(self.m @ other.m)
+            # The determinant is multiplicative.
+            return UnimodularMatrix._trusted(self.m @ other.m, self.det * other.det)
         return self.m @ other
 
     def __eq__(self, other) -> bool:
@@ -165,25 +198,47 @@ class SnfResult:
 
 
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product."""
-    if a.cols != b.rows:
+    """Exact matrix product, unrolled for 3x3 operands."""
+    ra, rb = a._rows, b._rows
+    if len(ra[0]) != len(rb):
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*[b.row(i) for i in range(b.rows)]))
-    return IntMatrix(
-        [
-            [sum(x * y for x, y in zip(row, col)) for col in bt]
-            for row in (a.row(i) for i in range(a.rows))
-        ]
+    if len(ra) == 3 and len(rb) == 3 and len(rb[0]) == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ra
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rb
+        return IntMatrix._trusted((
+            (a00 * b00 + a01 * b10 + a02 * b20,
+             a00 * b01 + a01 * b11 + a02 * b21,
+             a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20,
+             a10 * b01 + a11 * b11 + a12 * b21,
+             a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20,
+             a20 * b01 + a21 * b11 + a22 * b21,
+             a20 * b02 + a21 * b12 + a22 * b22),
+        ))
+    bt = tuple(zip(*rb))
+    return IntMatrix._trusted(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in ra)
     )
 
 
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
+    """Exact determinant: cofactor expansion up to 3x3, Bareiss beyond."""
+    rows = a._rows
+    n = len(rows)
+    if n != len(rows[0]):
         raise ShapeError("determinant needs a square matrix")
-    n = a.rows
+    if n == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        return (a00 * (a11 * a22 - a12 * a21)
+                - a01 * (a10 * a22 - a12 * a20)
+                + a02 * (a10 * a21 - a11 * a20))
+    if n == 2:
+        (a00, a01), (a10, a11) = rows
+        return a00 * a11 - a01 * a10
     if n == 1:
-        return a[0, 0]
+        return rows[0][0]
+    # Fraction-free (Bareiss) elimination.
     m = a.to_lists()
     sign = 1
     prev = 1
@@ -204,26 +259,40 @@ def determinant(a: IntMatrix) -> int:
 
 
 def inverse_unimodular(a: UnimodularMatrix) -> UnimodularMatrix:
-    """Exact integer inverse: the adjugate times the determinant."""
+    """Exact integer inverse: the adjugate times the determinant.
+
+    Dividing by the determinant is multiplying by it, since it is +1 or
+    -1, and the inverse has the same determinant.
+    """
     n = a.m.rows
+    d = a.det
     if n == 1:
-        return UnimodularMatrix(a.m)
-    rows = a.m.to_lists()
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMatrix(
-                [
-                    [rows[r][c] for c in range(n) if c != j]
-                    for r in range(n)
+        return a
+    if n == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.m._rows
+        adj = (
+            (a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+            (a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+            (a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
+        )
+    else:
+        rows = a.m._rows
+        cof = [
+            [
+                (-1) ** (i + j) * determinant(IntMatrix._trusted(tuple(
+                    tuple(x for c, x in enumerate(row) if c != j)
+                    for r, row in enumerate(rows)
                     if r != i
-                ]
-            )
-            cof[i][j] = (-1) ** (i + j) * determinant(minor)
-    # adjugate = transpose of cofactors; dividing by det is multiplying,
-    # since det is +1 or -1.
-    inv = [[cof[j][i] * a.det for j in range(n)] for i in range(n)]
-    return UnimodularMatrix(IntMatrix(inv))
+                )))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        # adjugate = transpose of the cofactors
+        adj = tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+    if d == -1:
+        adj = tuple(tuple(-x for x in row) for row in adj)
+    return UnimodularMatrix._trusted(IntMatrix._trusted(adj), d)
 
 
 def extended_gcd(a: int, b: int) -> tuple:
@@ -390,9 +459,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 fix_sign(j)
 
     return SnfResult(
-        u=UnimodularMatrix(IntMatrix(u)),
-        d=IntMatrix(d),
-        v=UnimodularMatrix(IntMatrix(v)),
+        u=UnimodularMatrix(IntMatrix._trusted(tuple(map(tuple, u)))),
+        d=IntMatrix._trusted(tuple(map(tuple, d))),
+        v=UnimodularMatrix(IntMatrix._trusted(tuple(map(tuple, v)))),
     )
 
 
@@ -410,9 +479,9 @@ def gcd_of_k_minors(a: IntMatrix, k: int) -> int:
             if k == 1:
                 minor_det = a[rows_idx[0], cols_idx[0]]
             else:
-                minor_det = determinant(
-                    IntMatrix([[a[i, j] for j in cols_idx] for i in rows_idx])
-                )
+                minor_det = determinant(IntMatrix._trusted(
+                    tuple(tuple(a[i, j] for j in cols_idx) for i in rows_idx)
+                ))
             g = math.gcd(g, minor_det)
     return g
 
@@ -434,19 +503,13 @@ def complete_primitive_to_sl3(v) -> UnimodularMatrix:
         raise NotPrimitiveError(f"triple {tuple(v)} is not primitive: gcd = {g2}")
     if g1 == 0:
         # a = b = 0 forces p = +1 or -1.
-        if p == 1:
-            return UnimodularMatrix(IntMatrix.identity(3))
-        return UnimodularMatrix(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
-    ap, bp = a // g1, b // g1
-    cols = (
-        (-y1, x1, 0),
-        (-y2 * ap, -y2 * bp, x2),
-        (a, b, p),
-    )
-    mat = IntMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
-    result = UnimodularMatrix(mat)
-    assert result.det == 1
-    return result
+        rows = _I3_ROWS if p == 1 else ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    else:
+        # Columns (-y1, x1, 0), (-y2 * a/g1, -y2 * b/g1, x2), (a, b, p).
+        # Expanding along the last row gives det = x2*g1 + y2*p = g2 = 1.
+        ap, bp = a // g1, b // g1
+        rows = ((-y1, -y2 * ap, a), (x1, -y2 * bp, b), (0, x2, p))
+    return UnimodularMatrix._trusted(IntMatrix._trusted(rows), 1)
 
 
 def sl2_carry_to_e1(g: int, h: int) -> UnimodularMatrix:
@@ -458,20 +521,67 @@ def sl2_carry_to_e1(g: int, h: int) -> UnimodularMatrix:
     g0, x, y = extended_gcd(g, h)
     if g0 != 1:
         raise NotPrimitiveError(f"gcd({g}, {h}) = {g0}, expected 1")
-    return UnimodularMatrix(IntMatrix([[x, y], [-h, g]]))
+    # det = x*g + y*h = 1
+    return UnimodularMatrix._trusted(IntMatrix._trusted(((x, y), (-h, g))), 1)
+
+
+#: Most 32-bit words drawn from the generator at once in random_sl3.
+_WORDS_PER_DRAW = 4096
+
+#: (first, second) draw of rng.sample(range(3), 2) -> the pair (i, j) it
+#: returns: the first index picks from [0, 1, 2], and pool[2] moves into
+#: the vacancy before the second index picks from what is left.
+_SAMPLE_PAIRS = (((0, 2), (0, 1)), ((1, 0), (1, 2)), ((2, 0), (2, 1)))
 
 
 def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     """Deterministic pseudo-random element of the 3x3 determinant-1 group.
 
     The result is a product of ``word_length`` elementary row-addition
-    matrices (and their inverses) drawn from a generator seeded with
-    ``seed``; the same seed always yields the same matrix.
+    matrices (and their inverses) drawn from ``random.Random(seed)``; the
+    same seed always yields the same matrix, and ``word_length <= 0``
+    gives the identity.
+
+    Stream contract: step by step the result equals the loop
+
+        i, j = rng.sample(range(3), 2); s = rng.choice((1, -1))
+        row[i] += s * row[j]
+
+    which ``tests/test_linalg.py::test_random_sl3_stream_is_pinned`` pins
+    by a digest of 3,000 seeded matrices.  That loop is replayed from
+    block draws: each of its draws is ``randbelow(n)`` with n = 3, 2, 2,
+    which takes the top two bits of one 32-bit Mersenne Twister word and
+    redraws while they are >= n, and ``getrandbits(32 * k)`` returns the
+    next k words least significant first.  Words left over when the word
+    is done are discarded, which is harmless because the generator is
+    local to the call.
     """
     rng = random.Random(seed)
-    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    for _ in range(word_length):
-        i, j = rng.sample(range(3), 2)
-        s = rng.choice((1, -1))
-        m[i] = [x + s * y for x, y in zip(m[i], m[j])]
-    return UnimodularMatrix(IntMatrix(m))
+    rows = list(_I3_ROWS)
+    left = word_length
+    draw = 0  # which of a step's three draws comes next
+    while left > 0:
+        n = min(_WORDS_PER_DRAW, 6 * left + 8)
+        # The top byte of each word, in the order the loop would draw them.
+        for top in rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]:
+            v = top >> 6
+            if draw == 0:
+                if v < 3:
+                    first = v
+                    draw = 1
+            elif draw == 1:
+                if v < 2:
+                    i, j = _SAMPLE_PAIRS[first][v]
+                    draw = 2
+            elif v < 2:
+                a, b = rows[i], rows[j]
+                if v:  # choice((1, -1)) drew index 1
+                    rows[i] = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+                else:
+                    rows[i] = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+                left -= 1
+                if not left:
+                    break
+                draw = 0
+    # A product of elementary matrices has determinant 1.
+    return UnimodularMatrix._trusted(IntMatrix._trusted(tuple(rows)), 1)

@@ -176,15 +176,20 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
 
 
 def summarize(records) -> SweepSummary:
-    """Exact counts: total, homology-Hopf cells, and a histogram by mu."""
+    """Exact counts: total, homology-Hopf cells, and a histogram by mu.
+
+    ``records`` may be any iterable of records, such as ``iter_sweep(spec)``.
+    """
     counts = {}
     hopf = 0
+    total = 0
     for r in records:
         counts[r.mu] = counts.get(r.mu, 0) + 1
         if r.homology_hopf:
             hopf += 1
+        total += 1
     return SweepSummary(
-        total=len(records),
+        total=total,
         homology_hopf_count=hopf,
         mu_counts=tuple(sorted(counts.items())),
     )

@@ -1,9 +1,19 @@
+import contextlib
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfglue.cli import (
     CSV_HEADER,
+    _record_json,
     certificate_document,
     main,
     matrix_document,
@@ -14,10 +24,12 @@ from hopfglue.gluing import (
     GluingMatrix,
     normalize_to_sl3,
     reduce_to_normal_form,
+    reduce_to_standard,
     standard_gluing_matrix,
     zeta_matrix,
 )
-from hopfglue.linalg import IntMatrix
+from hopfglue.linalg import IntMatrix, random_sl3
+from hopfglue.sweep import SweepSpec, count_skipped, summarize, sweep
 
 ZETA_ARG = "1,0,1,0,1,0,0,0,-1"
 
@@ -285,6 +297,45 @@ def test_oversize_integers_in_documents_exit_two(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
+# Ten to the 4000th: parses, but products and gcds of it exceed the
+# interpreter's 4,300-digit int/str limit when the result is written.
+BIG = "1" + "0" * 4000
+
+
+@pytest.mark.skipif(
+    not 4001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+    reason="needs an int/str conversion limit that lets BIG parse but not its square",
+)
+@pytest.mark.parametrize("argv", [
+    ("compose", "--plus", f"1,0,{BIG}", "--minus", f"1,0,{BIG}"),
+    ("sweep", "--direction-plus", "1,0", "--direction-minus", "1,0",
+     f"--p-range={BIG}:{BIG}", f"--q-range={BIG}:{BIG}"),
+    ("sweep", "--direction-plus", "1,0", "--direction-minus", "1,0",
+     f"--p-range={BIG}:{BIG}", f"--q-range={BIG}:{BIG}", "--format", "csv"),
+])
+def test_oversize_computed_integers_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def test_oversize_determinant_is_reported_by_size(tmp_path, capsys):
+    # Entries that parse, with a determinant too long to print in decimal.
+    big = 10**1500
+    rows = [[big, 1, 0], [0, big, 1], [1, 0, big]]
+    nine = ",".join(str(x) for row in rows for x in row)
+    code, out, err = run(capsys, "classify", f"--matrix={nine}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: determinant is ") and "bits" in err
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"input": rows, "output": rows,
+                                "left_factors": [], "right_factors": []}))
+    code, out, err = run(capsys, "verify", "--file", str(cert))
+    assert (code, out) == (2, "")
+    assert "input is not a gluing" in err
+
+
 # --- sweep -----------------------------------------------------------------------
 
 
@@ -360,6 +411,75 @@ def test_sweep_json_mode(capsys):
     }
 
 
+def _whole_document(spec):
+    """The JSON sweep document built in memory and dumped in one call."""
+    records = sweep(spec)
+    s = summarize(records)
+    doc = {
+        "convention": "columns-are-images-alpha-beta-gamma",
+        "mode": spec.mode,
+        "records": [_record_json(r) for r in records],
+        "summary": {
+            "counts_by_mu": [[mu, n] for mu, n in s.mu_counts],
+            "homology_hopf": s.homology_hopf_count,
+            "skipped_non_primitive": count_skipped(spec),
+            "total": s.total,
+        },
+        "zeta_variant": "zeta",
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, spec", [
+    # empty sweeps: no samples, only non-primitive cells, no homology-Hopf cell
+    (("--random", "0"), SweepSpec.matrices(0)),
+    (("--direction-plus", "0,0", "--direction-minus", "2,2", "--p-range=0:0",
+      "--q-range=-2:2"),
+     SweepSpec.tuples((0, 0), (0, 0), (0, 0), (2, 2), (2, 2), (-2, 2))),
+    (("--direction-plus", "1,0", "--direction-minus", "1,0", "--p-range=0:0",
+      "--q-range=0:0", "--homology-hopf-only"),
+     SweepSpec.tuples((1, 1), (0, 0), (0, 0), (1, 1), (0, 0), (0, 0), True)),
+    # tuple sweeps, with and without the filter, and a gcd-2 direction
+    (("--direction-plus", "1,2", "--direction-minus", "3,1", "--p-range=-4:4",
+      "--q-range=-3:5"),
+     SweepSpec.tuples((1, 1), (2, 2), (-4, 4), (3, 3), (1, 1), (-3, 5))),
+    (("--direction-plus", "2,0", "--direction-minus", "1,1", "--p-range=-4:4",
+      "--q-range=-3:5", "--homology-hopf-only"),
+     SweepSpec.tuples((2, 2), (0, 0), (-4, 4), (1, 1), (1, 1), (-3, 5), True)),
+    # random sweeps
+    (("--random", "40", "--seed", "5", "--word-length", "48"),
+     SweepSpec.matrices(40, seed=5, word_length=48)),
+    (("--random", "60", "--seed", "9", "--homology-hopf-only"),
+     SweepSpec.matrices(60, seed=9, homology_hopf_only=True)),
+])
+def test_streamed_json_sweep_is_byte_identical_to_one_dump(capsys, argv, spec):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert out == _whole_document(spec)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _peak_rss_mib(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "hopfglue.cli", *argv],
+                            stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_json_sweep_memory_does_not_grow_with_the_row_count():
+    # Directions (1, 0) and (0, 1) give mu = 1 on every cell, so the summary
+    # stays one histogram entry long and only the records could grow.
+    args = ("sweep", "--direction-plus", "1,0", "--direction-minus", "0,1")
+    one_row = _peak_rss_mib(*args, "--p-range", "0:0", "--q-range", "0:0")
+    many_rows = _peak_rss_mib(*args, "--p-range", "0:99", "--q-range", "0:599")
+    assert many_rows - one_row < 8
+
+
 def test_sweep_invalid_flags(capsys):
     assert run(capsys, "sweep", "--p-range", "0:2")[0] == 2
     assert run(capsys, *SWEEP_ARGS[:-1], "2:0")[0] == 2
@@ -401,3 +521,158 @@ def test_certificate_document_roundtrip():
     _, cert = reduce_to_normal_form(m)
     doc = certificate_document(cert)
     assert parse_certificate_document(json.loads(json.dumps(doc))) == cert
+
+
+# --- fuzzing main() ------------------------------------------------------------------
+
+# 4,001 digits: parses, but products of it outgrow the int/str conversion
+# limit.  HUGE (5,001 digits) does not even parse; hypothesis reprs its
+# strategies and the limit forbids repr of such an int, so documents carry
+# it as the placeholder string "HUGE".
+BIG_INT = 10**4000
+HUGE_DIGITS = "1" + "0" * 5000
+
+_small = st.integers(-12, 12)
+_int = st.one_of(_small, st.integers(-(10**40), 10**40),
+                 st.sampled_from([BIG_INT, BIG_INT + 1, -BIG_INT]))
+_num = st.one_of(_int.map(str), st.just(HUGE_DIGITS))
+_text = st.text(alphabet=",:-0123456789 ax[]{}.", max_size=12)
+
+#: Gluings: S^1 x S^3, the standard one, a torsion one, and one whose
+#: reduction holds products of 4,001-digit entries.
+_GLUINGS = (
+    [[1, 0, 1], [0, 1, 0], [0, 0, -1]],
+    [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 2], [0, 1, 4], [0, 0, 1]],
+    [[1, 0, BIG_INT], [1, 1, BIG_INT + 1], [0, 0, 1]],
+)
+_gluing = st.one_of(
+    st.sampled_from(_GLUINGS),
+    st.integers(0, 2**32).map(lambda seed: random_sl3(seed, 12).m.to_lists()),
+)
+_matrix = st.one_of(
+    _gluing,
+    st.lists(st.lists(st.one_of(_int, st.just("HUGE")), min_size=3, max_size=3),
+             min_size=3, max_size=3),
+)
+
+
+def _joined(count):
+    return st.lists(_num, min_size=count, max_size=count).map(",".join)
+
+
+_nine = _gluing.map(lambda m: ",".join(str(x) for row in m for x in row))
+_range = st.one_of(st.tuples(_small, _small).map(lambda t: "%d:%d" % t),
+                   st.just(f"{BIG_INT}:{BIG_INT}"))
+
+#: Values for each flag; None marks a switch.
+_FLAG_VALUES = {
+    "--matrix": st.one_of(_nine, _joined(9), _text),
+    "--file": st.just("FILE"),
+    "--plus": st.one_of(_joined(3), st.just(f"1,0,{BIG_INT}"), _text),
+    "--minus": st.one_of(_joined(3), st.just(f"1,0,{BIG_INT}"), _text),
+    "--plus-completion": st.one_of(_nine, _joined(9), _text),
+    "--minus-completion": st.one_of(_nine, _joined(9), _text),
+    "--direction-plus": st.one_of(_joined(2), _text),
+    "--direction-minus": st.one_of(_joined(2), _text),
+    "--p-range": st.one_of(_range, _text),
+    "--q-range": st.one_of(_range, _text),
+    "--random": st.one_of(st.integers(-2, 12).map(str), _text),
+    "--seed": st.one_of(_num, _text),
+    "--word-length": st.one_of(st.integers(-3, 60).map(str), _text),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--standard": None,
+    "--homology-hopf-only": None,
+    "--parallel": None,
+    "--help": None,
+}
+
+
+def _flag(name):
+    values = _FLAG_VALUES[name]
+    return st.just([name]) if values is None else values.map(lambda v: [f"{name}={v}"])
+
+
+def _command(name, required=(), optional=()):
+    """``name``, one flag from each required group, then some optional flags."""
+    extra = (st.lists(st.sampled_from(optional).flatmap(_flag), max_size=3)
+             if optional else st.just([]))
+    groups = [st.sampled_from(group).flatmap(_flag) for group in required]
+    return st.tuples(*groups, extra).map(
+        lambda parts: [name] + [a for flag in parts[:-1] + tuple(parts[-1]) for a in flag])
+
+
+_argv = st.one_of(
+    _command("classify", [("--matrix", "--file")]),
+    _command("reduce", [("--matrix", "--file")], ("--standard",)),
+    _command("compose", [("--plus",), ("--minus",)],
+             ("--plus-completion", "--minus-completion")),
+    _command("verify", (), ("--file",)),
+    _command("verify", [("--file",)]),
+    _command("sweep", [("--direction-plus",), ("--direction-minus",), ("--p-range",),
+                       ("--q-range",)], ("--homology-hopf-only", "--format", "--parallel")),
+    _command("sweep", [("--random",)],
+             ("--seed", "--word-length", "--homology-hopf-only", "--format")),
+    # anything goes: unknown commands, foreign flags, --help
+    st.tuples(st.sampled_from(["classify", "compose", "reduce", "verify", "sweep", "x"]),
+              st.lists(st.sampled_from(sorted(_FLAG_VALUES)).flatmap(_flag), max_size=4))
+    .map(lambda t: [t[0]] + [a for flag in t[1] for a in flag]),
+)
+
+
+def _real_document(seed, entry, delta):
+    """Reduce random_sl3(seed, 12) and shift one entry of the output by delta."""
+    gm = normalize_to_sl3(GluingMatrix(random_sl3(seed, 12)))
+    if math.gcd(gm.g, gm.h) != 1:
+        return matrix_document(gm)
+    doc = certificate_document(reduce_to_standard(gm))
+    doc["output"][entry // 3][entry % 3] += delta
+    return doc
+
+
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _int, st.just("HUGE"), st.floats(allow_nan=False),
+              st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+_real = st.builds(_real_document, st.integers(0, 10**6), st.integers(0, 8),
+                  st.integers(-1, 1))
+_document = st.one_of(
+    _real,
+    _real,
+    _json,
+    st.fixed_dictionaries({"matrix": _matrix},
+                          optional={"convention": st.one_of(st.text(max_size=4), _json)}),
+    st.fixed_dictionaries(
+        {"input": _matrix, "output": _matrix,
+         "left_factors": st.one_of(st.lists(_matrix, max_size=3), _json),
+         "right_factors": st.one_of(st.lists(_matrix, max_size=3), _json)},
+        optional={"order": _json, "convention": _json, "zeta_variant": _json}),
+).map(lambda doc: json.dumps(doc).replace('"HUGE"', HUGE_DIGITS))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argv, document=_document, cut=st.booleans())
+def test_main_never_raises(fuzz_file, argv, document, cut):
+    """Any argv, with any document on stdin and in --file, gets an exit code."""
+    if cut:  # truncated JSON
+        document = document[: len(document) // 2]
+    fuzz_file.write_text(document)
+    argv = [f"--file={fuzz_file}" if a == "--file=FILE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(document)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()

@@ -367,3 +367,129 @@ def test_random_sl3_matches_reference_loop():
     # Long enough to refill the random stream several times.
     for seed in (0, 1, 2**64 + 7):
         assert random_sl3(seed, 5000).m.to_lists() == reference_random_sl3(seed, 5000)
+
+
+# --- the closed-form 3x3 core against the oracles ----------------------------
+
+
+def _big_unimodular(rng, bits):
+    """A 3x3 integer matrix of determinant +1 or -1 with entries of ``bits``+ bits."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    while max(abs(x) for row in m for x in row).bit_length() < bits:
+        i, j = rng.sample(range(3), 2)
+        t = rng.getrandbits(48) - 2**47
+        m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[2] = [-x for x in m[2]]
+    return m
+
+
+def _check_inverse(rows):
+    u = UnimodularMatrix(IntMatrix(rows))
+    inv = inverse_unimodular(u)
+    n = len(rows)
+    assert inv.det == u.det == leibniz_det(rows)
+    assert leibniz_det(inv.m.to_lists()) == u.det
+    assert u.m @ inv.m == IntMatrix.identity(n)
+    assert inv.m @ u.m == IntMatrix.identity(n)
+    assert (u @ inv).det == 1 and (u @ inv).m == IntMatrix.identity(n)
+
+
+def test_closed_forms_exhaustive_small_entries():
+    # every 2x2 with entries in [-3, 3] and every 3x3 with entries in [-1, 1]
+    for shape, lo, hi in (((2, 2), -3, 3), ((3, 3), -1, 1)):
+        total = (hi - lo + 1) ** (shape[0] * shape[1])
+        unimodular = 0
+        for index in range(total):
+            rows = matrix_from_index(index, shape, lo, hi)
+            other = matrix_from_index((index * 7919 + 13) % total, shape, lo, hi)
+            d = leibniz_det(rows)
+            assert determinant(IntMatrix(rows)) == d
+            assert multiply(IntMatrix(rows), IntMatrix(other)) == IntMatrix(
+                naive_product(rows, other)
+            )
+            if d in (1, -1):
+                unimodular += 1
+                _check_inverse(rows)
+        assert unimodular > 0
+
+
+def test_closed_forms_large_entries():
+    rng = random.Random(37)
+    for _ in range(200):
+        a = [[rng.getrandbits(220) - 2**219 for _ in range(3)] for _ in range(3)]
+        b = [[rng.getrandbits(220) - 2**219 for _ in range(3)] for _ in range(3)]
+        assert determinant(IntMatrix(a)) == leibniz_det(a)
+        product = multiply(IntMatrix(a), IntMatrix(b))
+        assert product == IntMatrix(naive_product(a, b))
+        assert determinant(product) == leibniz_det(a) * leibniz_det(b)
+    for _ in range(100):
+        rows = _big_unimodular(rng, 200)
+        _check_inverse(rows)
+        u = UnimodularMatrix(IntMatrix(rows))
+        v = UnimodularMatrix(IntMatrix(_big_unimodular(rng, 200)))
+        assert (u @ v).det == leibniz_det((u @ v).m.to_lists()) == u.det * v.det
+
+
+def test_inverse_general_shapes():
+    rng = random.Random(41)
+    for n in (1, 2, 4):
+        for _ in range(30):
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(12):
+                if n > 1:
+                    i, j = rng.sample(range(n), 2)
+                    t = rng.randint(-5, 5)
+                    m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+            if rng.random() < 0.5:
+                m[0] = [-x for x in m[0]]
+            _check_inverse(m)
+
+
+def test_trusted_matrices_equal_validated_ones():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        checked = IntMatrix(rows)
+        trusted = IntMatrix._trusted(tuple(map(tuple, rows)))
+        assert trusted == checked and hash(trusted) == hash(checked)
+        # Internal results compare and hash like validated copies.
+        for result in (checked @ checked, -checked, checked.transpose()):
+            copy = IntMatrix(result.to_lists())
+            assert result == copy and hash(result) == hash(copy)
+    for seed in range(50):
+        u = random_sl3(seed, 30)
+        copy = UnimodularMatrix(u.m.to_lists())
+        assert u == copy and hash(u) == hash(copy) and u.det == copy.det == 1
+
+
+def test_public_constructors_still_validate():
+    for bad in ([[1, "2"], [3, 4]], [[1.0]], [[None, 1]], [[1, 2], [3, 4.5]]):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+        with pytest.raises(TypeError):
+            UnimodularMatrix(bad)
+    for bad in ([], [[]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ShapeError):
+            IntMatrix(bad)
+    with pytest.raises(ShapeError):
+        UnimodularMatrix([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(NotUnimodularError):
+        UnimodularMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+
+
+def test_trusted_builders_have_the_determinant_they_claim():
+    rng = random.Random(47)
+    for _ in range(300):
+        v = tuple(rng.randint(-10**30, 10**30) for _ in range(3))
+        if math.gcd(*v) == 1:
+            assert leibniz_det(complete_primitive_to_sl3(v).m.to_lists()) == 1
+    for v in ((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0)):
+        assert leibniz_det(complete_primitive_to_sl3(v).m.to_lists()) == 1
+    for _ in range(300):
+        g, h = rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)
+        if math.gcd(g, h) == 1:
+            assert leibniz_det(sl2_carry_to_e1(g, h).m.to_lists()) == 1
+    for seed in range(300):
+        assert leibniz_det(random_sl3(seed, 40).m.to_lists()) == 1
