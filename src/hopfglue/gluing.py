@@ -53,8 +53,9 @@ class ReductionError(RuntimeError):
     """A reduction produced something other than the promised output."""
 
 
-_FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))  # meridian sign flip
-_N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])  # the standard gluing
+# The meridian sign flip, and the standard gluing N0.
+_FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+_N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
 
 
 class GluingMatrix:

@@ -277,19 +277,17 @@ def inverse_unimodular(a: UnimodularMatrix) -> UnimodularMatrix:
         )
     else:
         rows = a.m._rows
-        cof = [
-            [
-                (-1) ** (i + j) * determinant(IntMatrix._trusted(tuple(
-                    tuple(x for c, x in enumerate(row) if c != j)
-                    for r, row in enumerate(rows)
-                    if r != i
-                )))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+
+        def minor(i, j):
+            return IntMatrix._trusted(
+                tuple(row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:])
+            )
+
         # adjugate = transpose of the cofactors
-        adj = tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+        adj = tuple(
+            tuple((-1) ** (i + j) * determinant(minor(j, i)) for j in range(n))
+            for i in range(n)
+        )
     if d == -1:
         adj = tuple(tuple(-x for x in row) for row in adj)
     return UnimodularMatrix._trusted(IntMatrix._trusted(adj), d)
