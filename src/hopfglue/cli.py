@@ -351,15 +351,15 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def _record_csv_row(r) -> str:
-    hh = "true" if r.homology_hopf else "false"
     try:
         factors = "|".join(str(f) for f in r.group.invariant_factors)
+        hh = "true" if r.homology_hopf else "false"
         if r.params is not None:
             head = ",".join(str(x) for x in r.params)
         else:
             head = ",,,,,"
         return f"{head},{r.mu},{hh},{r.group.rank},{factors}"
-    except ValueError as exc:
+    except ValueError as exc:  # an int beyond the int/str conversion limit
         raise OutputError() from exc
 
 
