@@ -1,9 +1,11 @@
 """Command-line front end: classify, compose, reduce, verify, sweep, selftest.
 
 Machine-readable output (JSON or CSV) goes to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 selftest failure, 2 parse/validation
-failure, 3 cross-invariant disagreement, 4 not a homology Hopf gluing,
-5 invalid certificate.
+stderr.  Exit codes: 0 success, 1 selftest failure or stdout closed
+before the output was complete, 2 parse/validation failure (JSON nested
+too deeply to parse included), 3 cross-invariant disagreement, 4 not a
+homology Hopf gluing, 5 invalid certificate.  Commands raise; ``main``
+maps the errors to these codes.
 
 JSON is always emitted with sorted keys and two-space indentation, so
 identical inputs produce byte-identical output.  A result holding an
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .abelian import FgAbelianGroup, is_isomorphic
@@ -76,6 +79,13 @@ def _lists_to_matrix(obj, what="matrix") -> IntMatrix:
     return IntMatrix._trusted(tuple(map(tuple, obj)))
 
 
+def _gluing(m: IntMatrix, context: str = "") -> GluingMatrix:
+    try:
+        return GluingMatrix(m)
+    except NotUnimodularError as exc:
+        raise DocumentError(context + str(exc)) from exc
+
+
 def matrix_document(m: GluingMatrix) -> dict:
     return {
         "matrix": m.matrix.to_lists(),
@@ -90,11 +100,7 @@ def parse_matrix_document(obj) -> GluingMatrix:
     conv = obj.get("convention", CONVENTION)
     if conv != CONVENTION:
         raise DocumentError(f"unsupported convention {conv!r}")
-    mat = _lists_to_matrix(obj["matrix"])
-    try:
-        return GluingMatrix(mat)
-    except NotUnimodularError as exc:
-        raise DocumentError(str(exc)) from exc
+    return _gluing(_lists_to_matrix(obj["matrix"]))
 
 
 def certificate_document(cert: ReductionCertificate) -> dict:
@@ -123,13 +129,9 @@ def parse_certificate_document(obj) -> ReductionCertificate:
         if obj.get(key, tag) != tag:
             raise DocumentError(f"unsupported {key} {obj[key]!r}")
     # The product identity then forces the output to be unimodular too.
-    source = _lists_to_matrix(obj["input"], "input")
-    try:
-        GluingMatrix(source)
-    except NotUnimodularError as exc:
-        raise DocumentError(f"input is not a gluing: {exc}") from exc
     return ReductionCertificate(
-        input=source,
+        input=_gluing(_lists_to_matrix(obj["input"], "input"),
+                      "input is not a gluing: ").matrix,
         left_factors=tuple(
             _lists_to_matrix(f, f"left factor {i}")
             for i, f in enumerate(obj["left_factors"])
@@ -144,6 +146,19 @@ def parse_certificate_document(obj) -> ReductionCertificate:
 
 def _group_report(g: FgAbelianGroup) -> dict:
     return {"rank": g.rank, "invariant_factors": list(g.invariant_factors)}
+
+
+def _gluing_report(gm: GluingMatrix) -> dict:
+    """The keys classify and compose both print about a gluing."""
+    return {
+        "convention": CONVENTION,
+        "det": gm.det,
+        "g": gm.g,
+        "h": gm.h,
+        "gcd_gh": math.gcd(gm.g, gm.h),
+        "homology_hopf": is_homology_hopf(gm),
+        "zeta_variant": calibrated_zeta_variant(),
+    }
 
 
 def _dumps(obj) -> str:
@@ -165,17 +180,6 @@ def _fail(message: str, code: int) -> int:
 # --- input helpers -------------------------------------------------------
 
 
-def _parse_nine_ints(text: str) -> IntMatrix:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 9:
-        raise DocumentError(f"expected 9 comma-separated integers, got {len(parts)}")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError as exc:
-        raise DocumentError(f"bad integer in matrix: {exc}") from exc
-    return IntMatrix([values[0:3], values[3:6], values[6:9]])
-
-
 def _parse_int_list(text: str, count: int, what: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
@@ -184,6 +188,11 @@ def _parse_int_list(text: str, count: int, what: str) -> tuple:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise DocumentError(f"bad integer in {what}: {exc}") from exc
+
+
+def _parse_matrix(text: str) -> IntMatrix:
+    v = _parse_int_list(text, 9, "matrix")
+    return IntMatrix([v[0:3], v[3:6], v[6:9]])
 
 
 def _parse_range(text: str, what: str) -> tuple:
@@ -196,53 +205,44 @@ def _parse_range(text: str, what: str) -> tuple:
         raise DocumentError(f"bad integer in {what}: {exc}") from exc
 
 
+def _read_json(path):
+    """The JSON document in the file at path, or on stdin if path is None."""
+    name = "stdin" if path is None else path
+    try:
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {name}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad, oversize or too deep
+        raise DocumentError(f"cannot parse {name}: {exc}") from exc
+
+
 def _load_gluing_matrix(args) -> GluingMatrix:
     if args.file is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DocumentError(f"cannot read {args.file}: {exc}") from exc
-        except ValueError as exc:
-            raise DocumentError(f"bad JSON in {args.file}: {exc}") from exc
-        return parse_matrix_document(obj)
-    mat = _parse_nine_ints(args.matrix)
-    try:
-        return GluingMatrix(mat)
-    except NotUnimodularError as exc:
-        raise DocumentError(str(exc)) from exc
+        return parse_matrix_document(_read_json(args.file))
+    return _gluing(_parse_matrix(args.matrix))
 
 
 # --- commands ------------------------------------------------------------
 
 
 def cmd_classify(args) -> int:
-    try:
-        gm = _load_gluing_matrix(args)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
-    group = pi1_single_gluing(gm)
-    _emit_json(
-        {
-            "convention": CONVENTION,
-            "det": gm.det,
-            "g": gm.g,
-            "h": gm.h,
-            "gcd_gh": math.gcd(gm.g, gm.h),
-            "group": _group_report(group),
-            "homology_hopf": is_homology_hopf(gm),
-            "matrix": gm.matrix.to_lists(),
-            "zeta_variant": calibrated_zeta_variant(),
-        }
-    )
+    gm = _load_gluing_matrix(args)
+    _emit_json(dict(
+        _gluing_report(gm),
+        group=_group_report(pi1_single_gluing(gm)),
+        matrix=gm.matrix.to_lists(),
+    ))
     return 0
 
 
 def _params_from_args(triple, completion_text, what):
     a, b, p = triple
-    completion = None
-    if completion_text is not None:
-        completion = _parse_nine_ints(completion_text)
+    completion = None if completion_text is None else _parse_matrix(completion_text)
     try:
         return LogTransformParams(a, b, p, completion=completion)
     except ValueError as exc:
@@ -250,70 +250,37 @@ def _params_from_args(triple, completion_text, what):
 
 
 def cmd_compose(args) -> int:
-    try:
-        tp = _parse_int_list(args.plus, 3, "--plus")
-        tm = _parse_int_list(args.minus, 3, "--minus")
-        plus = _params_from_args(tp, args.plus_completion, "--plus")
-        minus = _params_from_args(tm, args.minus_completion, "--minus")
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
+    tp = _parse_int_list(args.plus, 3, "--plus")
+    tm = _parse_int_list(args.minus, 3, "--minus")
+    plus = _params_from_args(tp, args.plus_completion, "--plus")
+    minus = _params_from_args(tm, args.minus_completion, "--minus")
     composed = compose_two_fiber(plus, minus)
     direct = pi1_two_log_transforms(*tp, *tm)
     via_matrix = pi1_single_gluing(composed)
     agreement = is_isomorphic(direct, via_matrix)
-    _emit_json(
-        {
-            "agreement": agreement,
-            "composed_matrix": composed.matrix.to_lists(),
-            "convention": CONVENTION,
-            "det": composed.det,
-            "g": composed.g,
-            "gcd_gh": math.gcd(composed.g, composed.h),
-            "group": _group_report(direct),
-            "group_from_composition": _group_report(via_matrix),
-            "h": composed.h,
-            "homology_hopf": is_homology_hopf(composed),
-            "minus": list(tm),
-            "plus": list(tp),
-            "zeta_variant": calibrated_zeta_variant(),
-        }
-    )
+    _emit_json(dict(
+        _gluing_report(composed),
+        agreement=agreement,
+        composed_matrix=composed.matrix.to_lists(),
+        group=_group_report(direct),
+        group_from_composition=_group_report(via_matrix),
+        minus=list(tm),
+        plus=list(tp),
+    ))
     if not agreement:
         return _fail("fundamental-group routes disagree (convention bug)", 3)
     return 0
 
 
 def cmd_reduce(args) -> int:
-    try:
-        gm = _load_gluing_matrix(args)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
-    gm = normalize_to_sl3(gm)
-    try:
-        if args.standard:
-            cert = reduce_to_standard(gm)
-        else:
-            _, cert = reduce_to_normal_form(gm)
-    except NotHomologyHopfError as exc:
-        return _fail(str(exc), 4)
+    gm = normalize_to_sl3(_load_gluing_matrix(args))
+    cert = reduce_to_standard(gm) if args.standard else reduce_to_normal_form(gm)[1]
     _emit_json(certificate_document(cert))
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.file is not None:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.load(sys.stdin)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot parse certificate: {exc}", 2)
-    try:
-        cert = parse_certificate_document(obj)
-    except DocumentError as exc:
-        return _fail(str(exc), 2)
-    reason = certificate_failure(cert)
+    reason = certificate_failure(parse_certificate_document(_read_json(args.file)))
     if reason is None:
         sys.stdout.write("VALID\n")
         return 0
@@ -338,16 +305,13 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         )
     a, b = _parse_int_list(args.direction_plus, 2, "--direction-plus")
     c, d = _parse_int_list(args.direction_minus, 2, "--direction-minus")
-    try:
-        return SweepSpec.tuples(
-            a=(a, a), b=(b, b),
-            p=_parse_range(args.p_range, "--p-range"),
-            c=(c, c), d=(d, d),
-            q=_parse_range(args.q_range, "--q-range"),
-            homology_hopf_only=args.homology_hopf_only,
-        )
-    except SweepSpecError as exc:
-        raise DocumentError(str(exc)) from exc
+    return SweepSpec.tuples(
+        a=(a, a), b=(b, b),
+        p=_parse_range(args.p_range, "--p-range"),
+        c=(c, c), d=(d, d),
+        q=_parse_range(args.q_range, "--q-range"),
+        homology_hopf_only=args.homology_hopf_only,
+    )
 
 
 def _record_csv_row(r) -> str:
@@ -391,10 +355,7 @@ def _write_json_records(out, records):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = _sweep_spec_from_args(args)
-    except (DocumentError, SweepSpecError) as exc:
-        return _fail(str(exc), 2)
+    spec = _sweep_spec_from_args(args)
     out = sys.stdout
     if args.format == "csv":
         out.write(CSV_HEADER + "\n")
@@ -485,15 +446,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except OutputError as exc:
-        return _fail(str(exc), 2)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.fn(args)
+        except SystemExit as exc:  # --help, or a usage error argparse reported
+            code = int(exc.code or 0)
+        except (DocumentError, SweepSpecError, OutputError) as exc:
+            code = _fail(str(exc), 2)
+        except NotHomologyHopfError as exc:
+            code = _fail(str(exc), 4)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as in `hopfglue ... | head`
+        # Point stdout at the null device so the interpreter's final flush
+        # of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Reduced-size invariant suites runnable from the command line.
 
 Each suite re-checks one of the library's structural guarantees with a
-deterministic seeded workload: nothing here depends on the clock or any
-global state, so the output is identical on every run.
+deterministic seeded workload and yields one bool per case: nothing here
+depends on the clock or any global state, so the output is identical on
+every run.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
 
 def _suite_snf_minor_gcd():
     rng = random.Random(101)
-    passed = failed = 0
     for _ in range(300):
         m = rng.randint(1, 3)
         n = rng.randint(1, 3)
@@ -56,16 +56,11 @@ def _suite_snf_minor_gcd():
             prod *= entry
             if prod != gcd_of_k_minors(a, k):
                 ok = False
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
+        yield ok
 
 
 def _suite_cross_invariant_agreement():
     rng = random.Random(202)
-    passed = failed = 0
     for i in range(120):
         tp = _random_primitive_triple(rng, 12)
         tm = _random_primitive_triple(rng, 12)
@@ -73,15 +68,10 @@ def _suite_cross_invariant_agreement():
         minus = LogTransformParams(*tm, completion=random_completion(tm, 2000 + i))
         direct = pi1_two_log_transforms(*tp, *tm)
         via = pi1_single_gluing(compose_two_fiber(plus, minus))
-        if is_isomorphic(direct, via):
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
+        yield is_isomorphic(direct, via)
 
 
 def _suite_reduction_certificates():
-    passed = failed = 0
     count = 0
     seed = 0
     while count < 100:
@@ -92,7 +82,7 @@ def _suite_reduction_certificates():
         count += 1
         nf, cert = reduce_to_normal_form(m)
         standard = reduce_to_standard(m)
-        ok = (
+        yield (
             verify_certificate(cert)
             and verify_certificate(standard)
             and standard.output == standard_gluing_matrix().matrix
@@ -100,16 +90,10 @@ def _suite_reduction_certificates():
             and is_isomorphic(pi1_single_gluing(m),
                               pi1_single_gluing(GluingMatrix(cert.output)))
         )
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
 
 
 def _suite_extendable_closure():
     rng = random.Random(404)
-    passed = failed = 0
 
     def random_extendable():
         r, t, s, u = 1, 0, 0, 1
@@ -125,22 +109,16 @@ def _suite_extendable_closure():
     for _ in range(100):
         x = random_extendable()
         y = random_extendable()
-        ok = (
+        yield (
             is_extendable(x)
             and is_extendable(y)
             and is_extendable(x @ y)
             and is_extendable(inverse_unimodular(UnimodularMatrix(x)).m)
         )
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
 
 
 def _suite_completion_independence():
     rng = random.Random(505)
-    passed = failed = 0
     for i in range(20):
         tp = _random_primitive_triple(rng, 10)
         tm = _random_primitive_triple(rng, 10)
@@ -150,11 +128,7 @@ def _suite_completion_independence():
             minus = LogTransformParams(*tm, completion=random_completion(tm, 37 * i + j))
             c = compose_two_fiber(plus, minus)
             gcds.add(math.gcd(c.g, c.h))
-        if len(gcds) == 1:
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
+        yield len(gcds) == 1
 
 
 SUITES = (
@@ -170,10 +144,10 @@ def run_selftest(out=None) -> bool:
     """Run every suite, print per-suite counts, and report overall success."""
     out = out or sys.stdout
     all_ok = True
-    for name, fn in SUITES:
-        passed, failed = fn()
-        out.write(f"{name}: {passed} passed, {failed} failed\n")
-        if failed:
-            all_ok = False
+    for name, suite in SUITES:
+        results = list(suite())
+        failed = results.count(False)
+        out.write(f"{name}: {len(results) - failed} passed, {failed} failed\n")
+        all_ok = all_ok and not failed
     out.write("SELFTEST OK\n" if all_ok else "SELFTEST FAILED\n")
     return all_ok

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfglue.cli import (
@@ -273,6 +273,19 @@ def test_verify_checks_document_tags(tmp_path, capsys):
     assert run(capsys, "verify", "--file", str(cert_path))[:2] == (0, "VALID\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("verify", "--file"), ("classify", "--file"), ("reduce", "--file"),
+])
+def test_too_deeply_nested_json_exits_two(tmp_path, capsys, monkeypatch, argv):
+    deep = "[" * 1500 + "]" * 1500
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = run(capsys, *argv, *([str(path)] if "--file" in argv else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse ") and "recursion" in err
+
+
 # A 5001-digit entry: over the interpreter's int/str conversion limit where
 # one is set (4,300 digits by default), and a non-unimodular matrix otherwise.
 HUGE_DIAG = "[[1" + "0" * 5000 + ", 0, 0], [0, 1, 0], [0, 0, 1]]"
@@ -480,6 +493,24 @@ def test_json_sweep_memory_does_not_grow_with_the_row_count():
     assert many_rows - one_row < 8
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
+    # 240,000 CSV rows: far more than a pipe buffer holds.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfglue.cli", "sweep", "--direction-plus", "1,0",
+         "--direction-minus", "0,1", "--p-range", "0:399", "--q-range", "0:599",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
 def test_sweep_invalid_flags(capsys):
     assert run(capsys, "sweep", "--p-range", "0:2")[0] == 2
     assert run(capsys, *SWEEP_ARGS[:-1], "2:0")[0] == 2
@@ -658,8 +689,16 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+# Nested deeper than the JSON parser's recursion limit, which Hypothesis
+# raises to about 2,000 while a test runs.
+DEEP = "[" * 10_000 + "]" * 10_000
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_argv, document=_document, cut=st.booleans())
+@example(argv=["verify"], document=DEEP, cut=False)
+@example(argv=["verify", "--file=FILE"], document=DEEP, cut=False)
+@example(argv=["classify", "--file=FILE"], document=DEEP, cut=False)
 def test_main_never_raises(fuzz_file, argv, document, cut):
     """Any argv, with any document on stdin and in --file, gets an exit code."""
     if cut:  # truncated JSON
