@@ -185,7 +185,7 @@ def digest(argv, code, stdout):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_transcript_is_pinned(case, tmp_path, monkeypatch, capsys):
+def test_cli_transcript_is_pinned(case, tmp_path, monkeypatch):
     assert digest(*transcript(case, tmp_path, monkeypatch)) == DIGESTS[case]
 
 
