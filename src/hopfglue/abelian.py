@@ -3,7 +3,10 @@
 A group is stored as a free rank plus an ascending chain of invariant
 factors (each >= 2, each dividing the next), which makes isomorphism a
 field-by-field comparison.  Groups are computed from integer relation
-matrices as cokernels, via Smith normal form.
+matrices as cokernels, via Smith normal form.  The public constructor
+validates its input; groups the library builds from values it already
+knows to be in normal form go through the private, unchecked
+``_trusted`` constructor.
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ class FgAbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"factors must form a divisibility chain: {factors}")
+
+    @classmethod
+    def _trusted(cls, rank, invariant_factors) -> "FgAbelianGroup":
+        """Wrap a rank and a factor tuple already in normal form, unchecked."""
+        self = object.__new__(cls)
+        d = self.__dict__  # key by key, in field order, to keep the shared-key dict
+        d["rank"] = rank
+        d["invariant_factors"] = invariant_factors
+        return self
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{f}" for f in self.invariant_factors]

@@ -327,18 +327,35 @@ def _record_csv_row(r) -> str:
         raise OutputError() from exc
 
 
-def _record_json(r) -> dict:
-    obj = {
-        "mu": r.mu,
-        "homology_hopf": r.homology_hopf,
-        "rank": r.group.rank,
-        "invariant_factors": list(r.group.invariant_factors),
-    }
-    if r.params is not None:
-        obj.update(zip(("a", "b", "p", "c", "d", "q"), r.params))
-    else:
-        obj["matrix"] = r.matrix.to_lists()
-    return obj
+# One record of the sweep document, as json.dumps(indent=2, sort_keys=True)
+# prints it inside the "records" array: the keys sorted, ints in decimal.
+_TUPLE_RECORD = (
+    '{\n      "a": %d,\n      "b": %d,\n      "c": %d,\n      "d": %d,\n'
+    '      "homology_hopf": %s,\n      "invariant_factors": %s,\n'
+    '      "mu": %d,\n      "p": %d,\n      "q": %d,\n      "rank": %d\n    }'
+)
+_MATRIX_RECORD = (
+    '{\n      "homology_hopf": %s,\n      "invariant_factors": %s,\n'
+    '      "matrix": [\n'
+    + ",\n".join(["        [\n          %d,\n          %d,\n          %d\n        ]"] * 3)
+    + '\n      ],\n      "mu": %d,\n      "rank": %d\n    }'
+)
+
+
+def _record_json_text(r) -> str:
+    try:
+        g = r.group
+        factors = g.invariant_factors
+        fs = ("[\n        %s\n      ]" % ",\n        ".join(map(str, factors))
+              if factors else "[]")
+        hh = "true" if r.homology_hopf else "false"
+        if r.params is not None:
+            a, b, p, c, d, q = r.params
+            return _TUPLE_RECORD % (a, b, c, d, hh, fs, r.mu, p, q, g.rank)
+        m0, m1, m2 = r.matrix._rows
+        return _MATRIX_RECORD % (hh, fs, *m0, *m1, *m2, r.mu, g.rank)
+    except ValueError as exc:  # an int beyond the int/str conversion limit
+        raise OutputError() from exc
 
 
 def _write_json_records(out, records):
@@ -348,7 +365,7 @@ def _write_json_records(out, records):
     """
     sep = "\n    "
     for r in records:
-        out.write(sep + _dumps(_record_json(r)).replace("\n", "\n    "))
+        out.write(sep + _record_json_text(r))
         sep = ",\n    "
         yield r
     out.write("]" if sep == "\n    " else "\n  ]")

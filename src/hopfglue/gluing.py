@@ -248,17 +248,21 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(m.m @ _FLIP)
 
 
-_Z2 = FgAbelianGroup(2, ())
-_Z = FgAbelianGroup(1, ())
+#: Shared groups by mu.  Groups are immutable, so every caller may hold
+#: the same instance; past _GROUPS_MAX entries new groups are not kept.
+_GROUPS = {0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())}
+_GROUPS_MAX = 4096
 
 
 def group_of_mu(mu: int) -> FgAbelianGroup:
     """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
-    if mu == 0:
-        return _Z2
-    if mu == 1:
-        return _Z
-    return FgAbelianGroup(1, (mu,))
+    g = _GROUPS.get(mu)
+    if g is None:
+        # Z/mu is already in normal form for mu >= 2; anything else raises.
+        g = FgAbelianGroup._trusted(1, (mu,)) if mu >= 2 else FgAbelianGroup(1, (mu,))
+        if len(_GROUPS) < _GROUPS_MAX:
+            _GROUPS[mu] = g
+    return g
 
 
 def pi1_single_gluing(m: GluingMatrix) -> FgAbelianGroup:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .abelian import FgAbelianGroup
 from .gluing import _two_log_mu, group_of_mu
@@ -135,28 +136,47 @@ def count_skipped(spec: SweepSpec) -> int:
     return grid - plus * minus
 
 
-def _record(mu: int, **where) -> SweepRecord:
-    return SweepRecord(mu=mu, homology_hopf=(mu == 1), group=group_of_mu(mu), **where)
+def _record(mu: int, params=None, matrix=None) -> SweepRecord:
+    # The fields are values the sweep just computed, so the record is built
+    # unchecked, its dict written key by key in field order (which keeps
+    # the compact shared-key dict that SweepRecord(...) gives).
+    r = object.__new__(SweepRecord)
+    d = r.__dict__
+    d["mu"] = mu
+    d["homology_hopf"] = mu == 1
+    d["group"] = group_of_mu(mu)
+    d["params"] = params
+    d["matrix"] = matrix
+    return r
+
+
+#: The most primitive minus-triples a tuple sweep holds in memory; past
+#: this many it generates them again for each plus triple instead.
+_MINUS_HELD = 1 << 16
 
 
 def iter_sweep(spec: SweepSpec):
     """Yield the records of ``sweep(spec)`` lazily, in the same order.
 
     Tuple mode crosses the primitive plus-triples (a, b, p), iterated
-    lazily, with the primitive minus-triples (c, d, q), held in memory, so
-    memory grows with the minus half-range rather than the grid.  Matrix
-    mode reads mu = gcd(g, h) straight off each sampled matrix.
+    lazily, with the primitive minus-triples (c, d, q).  Up to 2**16 minus
+    triples are held in memory; beyond that they are regenerated for each
+    plus triple, so memory stays bounded however large the ranges are.
+    Matrix mode reads mu = gcd(g, h) straight off each sampled matrix.
     """
     if spec.mode == TUPLE_MODE:
-        minus = tuple(_primitive_triples(spec.c_range, spec.d_range, spec.q_range))
+        ranges = (spec.c_range, spec.d_range, spec.q_range)
+        held = tuple(islice(_primitive_triples(*ranges), _MINUS_HELD + 1))
+        if len(held) > _MINUS_HELD:
+            held = None
         records = (
-            _record(_two_log_mu(*tp, *tm), params=tp + tm)
+            _record(_two_log_mu(*tp, *tm), tp + tm)
             for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range)
-            for tm in minus
+            for tm in (held if held is not None else _primitive_triples(*ranges))
         )
     else:
         records = (
-            _record(math.gcd(m[0, 2], m[1, 2]), matrix=m)
+            _record(math.gcd(m[0, 2], m[1, 2]), None, m)
             for m in (random_sl3(spec.seed + i, spec.word_length).m
                       for i in range(spec.sample_count))
         )

@@ -88,3 +88,22 @@ def reference_random_sl3(seed, word_length):
         s = rng.choice((1, -1))
         m[i] = [x + s * y for x, y in zip(m[i], m[j])]
     return m
+
+
+def record_json(r):
+    """A sweep record as the dict its JSON document holds.
+
+    ``json.dumps(record_json(r), indent=2, sort_keys=True)`` is the oracle
+    for the CLI's directly formatted record text.
+    """
+    obj = {
+        "mu": r.mu,
+        "homology_hopf": r.homology_hopf,
+        "rank": r.group.rank,
+        "invariant_factors": list(r.group.invariant_factors),
+    }
+    if r.params is not None:
+        obj.update(zip(("a", "b", "p", "c", "d", "q"), r.params))
+    else:
+        obj["matrix"] = r.matrix.to_lists()
+    return obj

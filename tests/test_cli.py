@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfglue.abelian import FgAbelianGroup
 from hopfglue.cli import (
     CSV_HEADER,
-    _record_json,
+    OutputError,
+    _record_json_text,
     certificate_document,
     main,
     matrix_document,
@@ -29,7 +32,8 @@ from hopfglue.gluing import (
     zeta_matrix,
 )
 from hopfglue.linalg import IntMatrix, random_sl3
-from hopfglue.sweep import SweepSpec, count_skipped, summarize, sweep
+from hopfglue.sweep import SweepRecord, SweepSpec, count_skipped, summarize, sweep
+from oracles import record_json as _record_json
 
 ZETA_ARG = "1,0,1,0,1,0,0,0,-1"
 
@@ -469,6 +473,77 @@ def test_streamed_json_sweep_is_byte_identical_to_one_dump(capsys, argv, spec):
     code, out, err = run(capsys, "sweep", *argv)
     assert (code, err) == (0, "")
     assert out == _whole_document(spec)
+
+
+MANY_MU = ("--direction-plus", "1,0", "--direction-minus", "1,0",
+           "--p-range=0:99", "--q-range=0:99")
+MANY_MU_SPEC = SweepSpec.tuples((1, 1), (0, 0), (0, 99), (1, 1), (0, 0), (0, 99))
+
+
+@pytest.mark.parametrize("argv, spec", [
+    # 10,000 rows holding about 2,900 distinct mu
+    (MANY_MU, MANY_MU_SPEC),
+    (MANY_MU + ("--homology-hopf-only",), dataclasses.replace(MANY_MU_SPEC, homology_hopf_only=True)),
+    # multi-digit matrix entries
+    (("--random", "80", "--seed", "13", "--word-length", "192"),
+     SweepSpec.matrices(80, seed=13, word_length=192)),
+    (("--random", "80", "--seed", "13", "--word-length", "192", "--homology-hopf-only"),
+     SweepSpec.matrices(80, seed=13, word_length=192, homology_hopf_only=True)),
+    # empty: (2, 0, 0) is not primitive
+    (("--direction-plus", "2,0", "--direction-minus", "1,0", "--p-range=0:0",
+      "--q-range=0:5"),
+     SweepSpec.tuples((2, 2), (0, 0), (0, 0), (1, 1), (0, 0), (0, 5))),
+])
+def test_directly_formatted_json_sweep_is_byte_identical(capsys, argv, spec):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert out == _whole_document(spec)
+
+
+def test_record_text_is_the_indented_dump_of_its_dict():
+    records = sweep(MANY_MU_SPEC) + sweep(SweepSpec.matrices(80, seed=13, word_length=192))
+    assert len({r.mu for r in records}) > 2500
+    assert max(abs(x) for r in records if r.matrix is not None
+               for row in r.matrix.to_lists() for x in row) >= 10
+    # groups with no, one and several invariant factors, and rank 0
+    for group in (FgAbelianGroup(0, ()), FgAbelianGroup(0, (2, 6, 12)), FgAbelianGroup(3, (5,))):
+        records.append(SweepRecord(mu=7, homology_hopf=False, group=group,
+                                   params=(-1, 2, -30, 4, -5, 600)))
+        records.append(SweepRecord(mu=1, homology_hopf=True, group=group,
+                                   matrix=IntMatrix([[1, -20, 300], [0, 1, -4], [0, 0, 1]])))
+    for r in records:
+        want = json.dumps(_record_json(r), indent=2, sort_keys=True)
+        assert _record_json_text(r) == want.replace("\n", "\n    ")
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="needs an int/str conversion limit")
+def test_oversize_record_text_raises_output_error():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    records = [
+        SweepRecord(mu=5, homology_hopf=False, group=FgAbelianGroup(1, (5,)),
+                    params=(1, 0, big, 1, 0, 0)),
+        SweepRecord(mu=big, homology_hopf=False, group=FgAbelianGroup(1, (big,)),
+                    params=(1, 0, 2, 1, 0, 3)),
+        SweepRecord(mu=1, homology_hopf=True, group=FgAbelianGroup(1, ()),
+                    matrix=IntMatrix([[1, big, 0], [0, 1, 0], [0, 0, 1]])),
+    ]
+    for r in records:
+        with pytest.raises(OutputError):
+            _record_json_text(r)
+
+
+@pytest.mark.skipif(
+    not 4001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+    reason="needs an int/str conversion limit that lets BIG parse but not its square",
+)
+def test_oversize_json_sweep_exits_two_before_writing_the_record(capsys):
+    code, out, err = run(capsys, "sweep", "--direction-plus", "1,0", "--direction-minus", "1,0",
+                         f"--p-range={BIG}:{BIG}", f"--q-range={BIG}:{BIG}")
+    assert code == 2
+    assert err.startswith("error: result holds an integer longer than")
+    assert out == ('{\n  "convention": "columns-are-images-alpha-beta-gamma",\n'
+                   '  "mode": "tuple",\n  "records": [')
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

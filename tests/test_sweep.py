@@ -2,11 +2,14 @@ import dataclasses
 import itertools
 import math
 import signal
+import sys
 
 import pytest
 
-from hopfglue.abelian import torsion_order
+from hopfglue import gluing
+from hopfglue.abelian import FgAbelianGroup, torsion_order
 from hopfglue.sweep import (
+    SweepRecord,
     SweepSpec,
     SweepSpecError,
     count_skipped,
@@ -14,6 +17,8 @@ from hopfglue.sweep import (
     summarize,
     sweep,
 )
+
+sweep_module = sys.modules["hopfglue.sweep"]
 
 
 def nine_cell_spec(**kw):
@@ -183,3 +188,133 @@ def test_iter_sweep_is_lazy():
     assert [r.params for r in first] == [
         (1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 0, 2), (1, 0, 1, 1, 0, 0),
     ]
+
+
+# --- the bounded minus half ---------------------------------------------------
+
+
+def test_huge_minus_half_yields_at_once_in_bounded_memory():
+    import tracemalloc
+
+    def too_slow(signum, frame):
+        raise TimeoutError("iter_sweep did not yield its first record at once")
+
+    spec = SweepSpec.tuples(a=(1, 1), b=(0, 0), p=(0, 0),
+                            c=(1, 1), d=(0, 0), q=(0, 10**9))
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    tracemalloc.start()
+    try:
+        first = next(iter_sweep(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert first.params == (1, 0, 0, 1, 0, 0)
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("spec", [
+    ASYMMETRIC_SPECS[0],
+    ASYMMETRIC_SPECS[1],
+    dataclasses.replace(ASYMMETRIC_SPECS[2], homology_hopf_only=True),
+])
+def test_regenerated_minus_half_gives_the_same_records(monkeypatch, spec):
+    held = list(iter_sweep(spec))
+    minus = sum(1 for _ in sweep_module._primitive_triples(
+        spec.c_range, spec.d_range, spec.q_range))
+    assert minus > 3
+    monkeypatch.setattr(sweep_module, "_MINUS_HELD", 3)
+    assert list(iter_sweep(spec)) == held
+
+
+# --- records and groups built unchecked ----------------------------------------
+
+
+EQUIVALENCE_SPECS = ASYMMETRIC_SPECS + [
+    nine_cell_spec(),  # mu = 0 at p = q = 0
+    nine_cell_spec(homology_hopf_only=True),
+    SweepSpec.matrices(40, seed=11),
+    SweepSpec.matrices(40, seed=11, word_length=192),
+    SweepSpec.matrices(40, seed=11, homology_hopf_only=True),
+]
+
+
+def public_copy(r):
+    """The record rebuilt through the public, validating constructors."""
+    group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
+    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(SweepRecord)}
+    return SweepRecord(**dict(fields, group=group))
+
+
+def _warm_up_record_dicts():
+    # CPython sizes the first few instance dicts of a class generously and
+    # settles on the compact shared-key size after that; compare only then.
+    for _ in range(5):
+        public_copy(sweep(nine_cell_spec())[0])
+
+
+@pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
+def test_unchecked_records_equal_public_ones(spec):
+    _warm_up_record_dicts()
+    records = sweep(spec)
+    assert records
+    for r in records:
+        public = public_copy(r)
+        assert r == public and public == r
+        assert hash(r) == hash(public)
+        assert repr(r) == repr(public)
+        assert r.group == public.group and hash(r.group) == hash(public.group)
+        assert repr(r.group) == repr(public.group)
+        assert list(r.__dict__) == [f.name for f in dataclasses.fields(SweepRecord)]
+        assert sys.getsizeof(r.__dict__) <= sys.getsizeof(public.__dict__)
+
+
+def test_unchecked_records_stay_frozen_dataclasses():
+    r = sweep(nine_cell_spec())[3]
+    assert dataclasses.is_dataclass(r) and dataclasses.is_dataclass(r.group)
+    assert dataclasses.replace(r, mu=r.mu) == r
+    assert dataclasses.replace(r, mu=99).mu == 99
+    assert dataclasses.asdict(r) == dataclasses.asdict(public_copy(r))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.mu = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.group.rank = 0
+
+
+def test_group_cache_stays_at_its_bound(monkeypatch):
+    fresh = {mu: g for mu, g in gluing._GROUPS.items() if mu < 2}
+    monkeypatch.setattr(gluing, "_GROUPS", fresh)
+    bound = gluing._GROUPS_MAX
+    for mu in range(2, 2 * bound):
+        g = gluing.group_of_mu(mu)
+        assert g == FgAbelianGroup(1, (mu,))
+        assert hash(g) == hash(FgAbelianGroup(1, (mu,)))
+    assert len(fresh) == bound
+    assert gluing.group_of_mu(2) is gluing.group_of_mu(2)
+    assert gluing.group_of_mu(0) == FgAbelianGroup(2, ())
+    assert gluing.group_of_mu(1) == FgAbelianGroup(1, ())
+    assert len(fresh) == bound
+
+
+def test_public_group_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        FgAbelianGroup(1, (1,))
+    with pytest.raises(ValueError):
+        FgAbelianGroup(1, (0,))
+    with pytest.raises(ValueError):
+        FgAbelianGroup(-1, ())
+    with pytest.raises(ValueError):
+        FgAbelianGroup(0, (2, 3))
+    with pytest.raises(ValueError):
+        gluing.group_of_mu(-4)
+
+
+def test_package_sweep_name_is_the_function():
+    from hopfglue import sweep as package_sweep
+
+    assert package_sweep is sweep and callable(package_sweep)
+    module = sys.modules["hopfglue.sweep"]
+    assert module is sweep_module
+    assert module.SweepSpec is SweepSpec
