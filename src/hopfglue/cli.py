@@ -352,7 +352,7 @@ def _record_json_text(r) -> str:
         if r.params is not None:
             a, b, p, c, d, q = r.params
             return _TUPLE_RECORD % (a, b, c, d, hh, fs, r.mu, p, q, g.rank)
-        m0, m1, m2 = r.matrix._rows
+        m0, m1, m2 = r.matrix.to_lists()
         return _MATRIX_RECORD % (hh, fs, *m0, *m1, *m2, r.mu, g.rank)
     except ValueError as exc:  # an int beyond the int/str conversion limit
         raise OutputError() from exc

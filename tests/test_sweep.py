@@ -3,6 +3,7 @@ import itertools
 import math
 import signal
 import sys
+import tracemalloc
 
 import pytest
 
@@ -194,8 +195,6 @@ def test_iter_sweep_is_lazy():
 
 
 def test_huge_minus_half_yields_at_once_in_bounded_memory():
-    import tracemalloc
-
     def too_slow(signum, frame):
         raise TimeoutError("iter_sweep did not yield its first record at once")
 
@@ -316,5 +315,5 @@ def test_package_sweep_name_is_the_function():
 
     assert package_sweep is sweep and callable(package_sweep)
     module = sys.modules["hopfglue.sweep"]
-    assert module is sweep_module
+    assert module is sweep_module and module.sweep is package_sweep
     assert module.SweepSpec is SweepSpec
