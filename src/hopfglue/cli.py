@@ -314,15 +314,19 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     )
 
 
+# One CSV row with its newline; matrix rows leave the six params empty.
+_TUPLE_ROW = "%d,%d,%d,%d,%d,%d,%d,%s,%d,%s\n"
+_MATRIX_ROW = ",,,,,,%d,%s,%d,%s\n"
+
+
 def _record_csv_row(r) -> str:
     try:
-        factors = "|".join(str(f) for f in r.group.invariant_factors)
+        g = r.group
+        factors = "|".join(map(str, g.invariant_factors))
         hh = "true" if r.homology_hopf else "false"
         if r.params is not None:
-            head = ",".join(str(x) for x in r.params)
-        else:
-            head = ",,,,,"
-        return f"{head},{r.mu},{hh},{r.group.rank},{factors}"
+            return _TUPLE_ROW % (*r.params, r.mu, hh, g.rank, factors)
+        return _MATRIX_ROW % (r.mu, hh, g.rank, factors)
     except ValueError as exc:  # an int beyond the int/str conversion limit
         raise OutputError() from exc
 
@@ -371,12 +375,30 @@ def _write_json_records(out, records):
     out.write("]" if sep == "\n    " else "\n  ]")
 
 
+# The sweep summary as json.dumps(indent=2, sort_keys=True) prints it at
+# the document's second level; one template per (mu, count) pair.
+_SUMMARY = (
+    '{\n    "counts_by_mu": %s,\n    "homology_hopf": %d,\n'
+    '    "skipped_non_primitive": %d,\n    "total": %d\n  }'
+)
+_MU_COUNT = "[\n        %d,\n        %d\n      ]"
+
+
+def _summary_json_text(s, skipped: int) -> str:
+    try:
+        pairs = ",\n      ".join([_MU_COUNT % kv for kv in s.mu_counts])
+        counts = "[\n      %s\n    ]" % pairs if pairs else "[]"
+        return _SUMMARY % (counts, s.homology_hopf_count, skipped, s.total)
+    except ValueError as exc:  # an int beyond the int/str conversion limit
+        raise OutputError() from exc
+
+
 def cmd_sweep(args) -> int:
     spec = _sweep_spec_from_args(args)
     out = sys.stdout
     if args.format == "csv":
         out.write(CSV_HEADER + "\n")
-        out.writelines(_record_csv_row(r) + "\n" for r in iter_sweep(spec))
+        out.writelines(map(_record_csv_row, iter_sweep(spec)))
         return 0
     # The bytes of _emit_json on the whole document, written as the records
     # come: sorted, the keys are convention, mode, records, summary and
@@ -384,14 +406,8 @@ def cmd_sweep(args) -> int:
     out.write('{\n  "convention": %s,\n  "mode": %s,\n  "records": ['
               % (json.dumps(CONVENTION), json.dumps(spec.mode)))
     s = summarize(_write_json_records(out, iter_sweep(spec)))
-    summary = {
-        "counts_by_mu": [[mu, n] for mu, n in s.mu_counts],
-        "homology_hopf": s.homology_hopf_count,
-        "skipped_non_primitive": count_skipped(spec),
-        "total": s.total,
-    }
     out.write(',\n  "summary": %s,\n  "zeta_variant": %s\n}\n'
-              % (_dumps(summary).replace("\n", "\n  "),
+              % (_summary_json_text(s, count_skipped(spec)),
                  json.dumps(calibrated_zeta_variant())))
     return 0
 

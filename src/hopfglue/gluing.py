@@ -31,6 +31,7 @@ from .abelian import FgAbelianGroup
 from .linalg import (
     IntMatrix,
     NotPrimitiveError,
+    ShapeError,
     UnimodularMatrix,
     complete_primitive_to_sl3,
     inverse_unimodular,
@@ -124,6 +125,8 @@ class LogTransformParams:
             completion = complete_primitive_to_sl3((a, b, p))
         elif not isinstance(completion, UnimodularMatrix):
             completion = UnimodularMatrix(completion)
+        if completion.m.rows != 3:
+            raise ShapeError("completion must be 3x3")
         if completion.det != 1:
             raise OrientationError("completion must have determinant +1")
         if completion.m.col(2) != (a, b, p):

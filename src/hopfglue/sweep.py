@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .abelian import FgAbelianGroup
-from .gluing import _two_log_mu, group_of_mu
+from .gluing import group_of_mu
 from .linalg import IntMatrix, random_sl3
 
 TUPLE_MODE = "tuple"
@@ -136,7 +136,7 @@ def count_skipped(spec: SweepSpec) -> int:
     return grid - plus * minus
 
 
-def _record(mu: int, params=None, matrix=None) -> SweepRecord:
+def _record(mu: int, matrix: IntMatrix) -> SweepRecord:
     # The fields are values the sweep just computed, so the record is built
     # unchecked, its dict written key by key in field order (which keeps
     # the compact shared-key dict that SweepRecord(...) gives).
@@ -145,7 +145,7 @@ def _record(mu: int, params=None, matrix=None) -> SweepRecord:
     d["mu"] = mu
     d["homology_hopf"] = mu == 1
     d["group"] = group_of_mu(mu)
-    d["params"] = params
+    d["params"] = None
     d["matrix"] = matrix
     return r
 
@@ -155,34 +155,53 @@ def _record(mu: int, params=None, matrix=None) -> SweepRecord:
 _MINUS_HELD = 1 << 16
 
 
+def _tuple_records(spec: SweepSpec):
+    """The records of a tuple sweep, built inline one plus triple at a time."""
+    ranges = (spec.c_range, spec.d_range, spec.q_range)
+    held = tuple(islice(_primitive_triples(*ranges), _MINUS_HELD + 1))
+    if len(held) > _MINUS_HELD:
+        held = None
+    gcd = math.gcd
+    new = object.__new__
+    for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
+        a, b, p = tp
+        r0 = a + p
+        for tm in (held if held is not None else _primitive_triples(*ranges)):
+            c, d, q = tm
+            # gluing._two_log_mu, with a + p hoisted out of the minus loop
+            mu = gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
+            # built unchecked, as _record builds it
+            r = new(SweepRecord)
+            rd = r.__dict__
+            rd["mu"] = mu
+            rd["homology_hopf"] = mu == 1
+            rd["group"] = group_of_mu(mu)
+            rd["params"] = tp + tm
+            rd["matrix"] = None
+            yield r
+
+
 def iter_sweep(spec: SweepSpec):
     """Yield the records of ``sweep(spec)`` lazily, in the same order.
 
     Tuple mode crosses the primitive plus-triples (a, b, p), iterated
-    lazily, with the primitive minus-triples (c, d, q).  Up to 2**16 minus
+    lazily, with the primitive minus-triples (c, d, q), and computes each
+    cell's mu inline with the plus half hoisted.  Up to 2**16 minus
     triples are held in memory; beyond that they are regenerated for each
     plus triple, so memory stays bounded however large the ranges are.
     Matrix mode reads mu = gcd(g, h) straight off each sampled matrix.
     """
     if spec.mode == TUPLE_MODE:
-        ranges = (spec.c_range, spec.d_range, spec.q_range)
-        held = tuple(islice(_primitive_triples(*ranges), _MINUS_HELD + 1))
-        if len(held) > _MINUS_HELD:
-            held = None
-        records = (
-            _record(_two_log_mu(*tp, *tm), tp + tm)
-            for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range)
-            for tm in (held if held is not None else _primitive_triples(*ranges))
-        )
+        records = _tuple_records(spec)
     else:
         records = (
-            _record(math.gcd(m[0, 2], m[1, 2]), None, m)
+            _record(math.gcd(m[0, 2], m[1, 2]), m)
             for m in (random_sl3(spec.seed + i, spec.word_length).m
                       for i in range(spec.sample_count))
         )
     if spec.homology_hopf_only:
-        records = (r for r in records if r.homology_hopf)
-    yield from records
+        return (r for r in records if r.homology_hopf)
+    return records
 
 
 def sweep(spec: SweepSpec, parallel: bool = False) -> list:

@@ -16,7 +16,9 @@ from hopfglue.abelian import FgAbelianGroup
 from hopfglue.cli import (
     CSV_HEADER,
     OutputError,
+    _record_csv_row,
     _record_json_text,
+    _summary_json_text,
     certificate_document,
     main,
     matrix_document,
@@ -32,7 +34,7 @@ from hopfglue.gluing import (
     zeta_matrix,
 )
 from hopfglue.linalg import IntMatrix, random_sl3
-from hopfglue.sweep import SweepRecord, SweepSpec, count_skipped, summarize, sweep
+from hopfglue.sweep import SweepRecord, SweepSpec, SweepSummary, count_skipped, summarize, sweep
 from oracles import record_json as _record_json
 
 ZETA_ARG = "1,0,1,0,1,0,0,0,-1"
@@ -531,6 +533,77 @@ def test_oversize_record_text_raises_output_error():
     for r in records:
         with pytest.raises(OutputError):
             _record_json_text(r)
+
+
+def _hand_built_records():
+    """Records whose groups have no, one and several factors, and rank 0."""
+    records = []
+    for group in (FgAbelianGroup(0, ()), FgAbelianGroup(0, (2, 6, 12)), FgAbelianGroup(3, (5,))):
+        records.append(SweepRecord(mu=7, homology_hopf=False, group=group,
+                                   params=(-1, 2, -30, 4, -5, 600)))
+        records.append(SweepRecord(mu=1, homology_hopf=True, group=group,
+                                   matrix=IntMatrix([[1, -20, 300], [0, 1, -4], [0, 0, 1]])))
+    return records
+
+
+def _joined_csv_row(r):
+    """The CSV row as each field's str joined by commas, factors by bars."""
+    head = ",".join(str(x) for x in r.params) if r.params is not None else ",,,,,"
+    factors = "|".join(str(f) for f in r.group.invariant_factors)
+    hh = "true" if r.homology_hopf else "false"
+    return f"{head},{r.mu},{hh},{r.group.rank},{factors}\n"
+
+
+def test_csv_row_is_the_joined_fields():
+    records = (sweep(MANY_MU_SPEC) + sweep(SweepSpec.matrices(80, seed=13, word_length=192))
+               + _hand_built_records())
+    for r in records:
+        assert _record_csv_row(r) == _joined_csv_row(r)
+
+
+def _summary_dump(s, skipped):
+    summary = {
+        "counts_by_mu": [[mu, n] for mu, n in s.mu_counts],
+        "homology_hopf": s.homology_hopf_count,
+        "skipped_non_primitive": skipped,
+        "total": s.total,
+    }
+    return json.dumps(summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+@pytest.mark.parametrize("s, skipped", [
+    (summarize(sweep(MANY_MU_SPEC)), 0),
+    (summarize([]), 0),
+    (summarize(sweep(SweepSpec.matrices(80, seed=13, word_length=192))), 0),
+    (SweepSummary(total=7, homology_hopf_count=0, mu_counts=((0, 2), (12345, 5))), 10**12),
+    (SweepSummary(total=1, homology_hopf_count=1, mu_counts=((1, 1),)), 3),
+])
+def test_summary_text_is_the_indented_dump(s, skipped):
+    assert _summary_json_text(s, skipped) == _summary_dump(s, skipped)
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="needs an int/str conversion limit")
+def test_oversize_csv_row_and_summary_raise_output_error():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    records = [
+        SweepRecord(mu=5, homology_hopf=False, group=FgAbelianGroup(1, (5,)),
+                    params=(1, 0, big, 1, 0, 0)),
+        SweepRecord(mu=big, homology_hopf=False, group=FgAbelianGroup(1, (big,)),
+                    params=(1, 0, 2, 1, 0, 3)),
+        SweepRecord(mu=big, homology_hopf=False, group=FgAbelianGroup(1, (big,)),
+                    matrix=IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    ]
+    for r in records:
+        with pytest.raises(OutputError):
+            _record_csv_row(r)
+    for s, skipped in [
+        (SweepSummary(total=1, homology_hopf_count=0, mu_counts=((big, 1),)), 0),
+        (SweepSummary(total=big, homology_hopf_count=0, mu_counts=((2, big),)), 0),
+        (SweepSummary(total=1, homology_hopf_count=0, mu_counts=((2, 1),)), big),
+    ]:
+        with pytest.raises(OutputError):
+            _summary_json_text(s, skipped)
 
 
 @pytest.mark.skipif(

@@ -32,6 +32,7 @@ from hopfglue.gluing import (
 from hopfglue.linalg import (
     IntMatrix,
     NotPrimitiveError,
+    ShapeError,
     UnimodularMatrix,
     determinant,
     inverse_unimodular,
@@ -179,6 +180,13 @@ def test_params_validate_completion():
         LogTransformParams(1, 0, 0, completion=IntMatrix.identity(3))
     with pytest.raises(NotPrimitiveError):
         LogTransformParams(2, 0, 2)
+
+
+@pytest.mark.parametrize("completion", [[[1, 0], [0, 1]], [[1]]])
+def test_params_reject_a_completion_that_is_not_3x3(completion):
+    # both are unimodular, so only the shape check stands before col(2)
+    with pytest.raises(ShapeError, match="3x3"):
+        LogTransformParams(1, 0, 0, completion=completion)
 
 
 # --- composing two fiber surgeries ------------------------------------------------

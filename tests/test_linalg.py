@@ -224,6 +224,27 @@ def test_snf_thousand_random_larger_cases():
         check_snf([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
 
 
+def test_snf_up_to_6x6_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(23)
+    chains = set()
+    for k in range(300):
+        m, n = rng.randint(4, 6), rng.randint(4, 6)
+        # scaled rows give non-trivial invariant factors, a repeated row a zero one
+        rows = [[s * rng.randint(-9, 9) for _ in range(n)]
+                for s in (rng.choice((1, 1, 2, 3, 6)) for _ in range(m))]
+        if k % 4 == 0:
+            rows[-1] = [2 * x for x in rows[0]]
+        ours = smith_normal_form(IntMatrix(rows)).diagonal()
+        theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert ours == tuple(abs(int(theirs[i, i])) for i in range(min(m, n))), rows
+        assert all(y % x == 0 if x else y == 0 for x, y in zip(ours, ours[1:])), rows
+        chains.add(ours)
+    assert any(0 in d for d in chains) and any(d[1] > 1 for d in chains)
+
+
 def test_snf_is_deterministic():
     rows = [[3, 1, -4], [1, 5, 9], [-2, 6, 5]]
     r1 = smith_normal_form(IntMatrix(rows))

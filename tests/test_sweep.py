@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from hopfglue import gluing
-from hopfglue.abelian import FgAbelianGroup, torsion_order
+from hopfglue.abelian import FgAbelianGroup, Presentation, group_from_presentation, torsion_order
 from hopfglue.sweep import (
     SweepRecord,
     SweepSpec,
@@ -280,6 +280,41 @@ def test_unchecked_records_stay_frozen_dataclasses():
         r.mu = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.group.rank = 0
+
+
+# --- the inline tuple loop -----------------------------------------------------
+
+
+BOX = SweepSpec.tuples(*[(-2, 2)] * 6)
+
+
+@pytest.fixture(scope="module")
+def box_groups():
+    """Every primitive pair of the [-2, 2]^6 box, in lexicographic order, with
+    its group from the Smith normal form of the two surgery relations."""
+    groups = {}
+    for a, b, p, c, d, q in itertools.product(range(-2, 3), repeat=6):
+        if math.gcd(a, b, p) == 1 and math.gcd(c, d, q) == 1:
+            groups[(a, b, p, c, d, q)] = group_from_presentation(
+                Presentation(3, ((a + p, b, -p), (c, d, q))))
+    return groups
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "regenerated"])
+@pytest.mark.parametrize("hopf_only", [False, True], ids=["all", "hopf-only"])
+def test_inline_tuple_loop_over_the_whole_box(monkeypatch, box_groups, held, hopf_only):
+    assert len(box_groups) == 9604 and count_skipped(BOX) == 15625 - 9604
+    if not held:
+        monkeypatch.setattr(sweep_module, "_MINUS_HELD", 3)
+    records = list(iter_sweep(dataclasses.replace(BOX, homology_hopf_only=hopf_only)))
+    want = [params for params, g in box_groups.items()
+            if not hopf_only or g == FgAbelianGroup(1, ())]
+    assert [r.params for r in records] == want
+    for r in records:
+        assert r.mu == gluing._two_log_mu(*r.params)
+        assert r.group == box_groups[r.params]
+        public = public_copy(r)
+        assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
 
 
 def test_group_cache_stays_at_its_bound(monkeypatch):
