@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .linalg import IntMatrix, ShapeError, smith_normal_form
+from .linalg import IntMatrix, ShapeError, _require_int, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ class FgAbelianGroup:
         object.__setattr__(
             self, "invariant_factors", tuple(self.invariant_factors)
         )
+        _require_int((self.rank, *self.invariant_factors), "rank and invariant factors")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
         factors = self.invariant_factors

@@ -39,7 +39,6 @@ from .gluing import (
     reduce_to_standard,
 )
 from .linalg import IntMatrix, NotUnimodularError
-from .selftest import run_selftest
 from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
@@ -413,6 +412,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # Imported here so that the other commands do not load selftest.
+    from .selftest import run_selftest
+
     return 0 if run_selftest(sys.stdout) else 1
 
 

@@ -40,6 +40,13 @@ class NotPrimitiveError(ValueError):
 _I3_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _require_int(values, what: str = "entries") -> None:
+    """Raise TypeError unless every value is an int."""
+    for x in values:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} must be int, got {type(x).__name__}")
+
+
 def _describe(n: int) -> str:
     """``n`` in decimal, or its size if it is too long for the int/str limit."""
     try:
@@ -66,11 +73,7 @@ class IntMatrix:
         for row in data:
             if len(row) != width:
                 raise ShapeError("all rows must have the same length")
-            for entry in row:
-                if not isinstance(entry, int):
-                    raise TypeError(
-                        f"entries must be int, got {type(entry).__name__}"
-                    )
+            _require_int(row)
         self._rows = data
 
     @classmethod
@@ -495,6 +498,7 @@ def complete_primitive_to_sl3(v) -> UnimodularMatrix:
     Raises NotPrimitiveError unless gcd of the three entries is 1.
     """
     a, b, p = v
+    _require_int((a, b, p))
     g1, x1, y1 = extended_gcd(a, b)
     g2, x2, y2 = extended_gcd(g1, p)
     if g2 != 1:
@@ -516,6 +520,7 @@ def sl2_carry_to_e1(g: int, h: int) -> UnimodularMatrix:
     Built as [[x, y], [-h, g]] from Bezout coefficients x*g + y*h = 1;
     requires gcd(g, h) = 1.
     """
+    _require_int((g, h), "g and h")
     g0, x, y = extended_gcd(g, h)
     if g0 != 1:
         raise NotPrimitiveError(f"gcd({g}, {h}) = {g0}, expected 1")

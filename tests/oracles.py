@@ -107,3 +107,27 @@ def record_json(r):
     else:
         obj["matrix"] = r.matrix.to_lists()
     return obj
+
+
+def certificate_error(input_rows, left, right, output):
+    """Why a reduction certificate given as nested lists fails, or None.
+
+    Every factor must have third column (0, 0, 1) and determinant +1 by
+    ``leibniz_det``, and ``naive_product`` must give
+    left[0] @ ... @ left[-1] @ input @ right[0] @ ... @ right[-1] == output.
+    """
+    for side, factors in (("left", left), ("right", right)):
+        for i, f in enumerate(factors):
+            column = [row[2] for row in f]
+            if column != [0, 0, 1]:
+                return f"{side} factor {i} has third column {column}"
+            if leibniz_det(f) != 1:
+                return f"{side} factor {i} has determinant {leibniz_det(f)}"
+    product = input_rows
+    for f in reversed(left):
+        product = naive_product(f, product)
+    for f in right:
+        product = naive_product(product, f)
+    if product != output:
+        return f"product {product} != output {output}"
+    return None

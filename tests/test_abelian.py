@@ -150,3 +150,14 @@ def test_torsion_order_matches_minor_gcds():
             assert torsion_order(g) == 1
         else:
             assert torsion_order(g) == minors_gcd(rows, rank_of_matrix)
+
+
+def test_presentation_rejects_negative_generator_count():
+    with pytest.raises(ValueError, match="number of generators must be >= 0"):
+        Presentation(-1)
+
+
+@pytest.mark.parametrize("rank, factors", [(1.5, ()), (1.0, ()), (1, (2.0,)), (0, (2, 4.0))])
+def test_group_rejects_non_int_fields(rank, factors):
+    with pytest.raises(TypeError, match="rank and invariant factors must be int, got float"):
+        FgAbelianGroup(rank, factors)

@@ -863,3 +863,18 @@ def test_main_never_raises(fuzz_file, argv, document, cut):
         sys.stdin = stdin
     assert code in range(6)
     assert "Traceback" not in err.getvalue()
+
+
+def test_sweep_bad_range_integer_exits_two(capsys):
+    code, out, err = run(capsys, "sweep", "--direction-plus", "1,0", "--direction-minus",
+                         "0,1", "--p-range", "0:x", "--q-range", "0:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad integer in --p-range: ")
+
+
+def test_importing_the_cli_leaves_selftest_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, hopfglue.cli; print('hopfglue.selftest' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "False\n"

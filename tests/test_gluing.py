@@ -7,6 +7,7 @@ import pytest
 from hopfglue.abelian import FgAbelianGroup, Presentation, group_from_presentation
 from hopfglue.gluing import (
     GluingMatrix,
+    ReductionError,
     LogTransformParams,
     NormalForm,
     NotHomologyHopfError,
@@ -34,6 +35,7 @@ from hopfglue.linalg import (
     NotPrimitiveError,
     ShapeError,
     UnimodularMatrix,
+    complete_primitive_to_sl3,
     determinant,
     inverse_unimodular,
     random_sl3,
@@ -519,3 +521,39 @@ def test_normal_form_validates_block():
 def test_normal_form_matrix_embedding():
     nf = NormalForm(IntMatrix([[0, 1], [-1, 2]]))
     assert nf.matrix == IntMatrix([[0, 1, 1], [-1, 2, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("a, b, p", [(1.0, 0, 1), (1, 0.0, 1), (0, 0, 1.0)])
+def test_params_reject_non_int_entries(a, b, p):
+    with pytest.raises(TypeError, match="a, b and p must be int, got float"):
+        LogTransformParams(a, b, p)
+    completion = complete_primitive_to_sl3((int(a), int(b), int(p)))
+    with pytest.raises(TypeError, match="a, b and p must be int, got float"):
+        LogTransformParams(a, b, p, completion=completion)
+
+
+@pytest.mark.parametrize("factor, reason", [
+    (IntMatrix([[1, 0, 0], [0, 1, 0]]), "left factor 0 is not 3x3"),
+    ([[1, 0, 0], [0, 1], [0, 0, 1]],
+     "malformed certificate: all rows must have the same length"),
+])
+def test_certificate_failure_names_a_bad_factor(factor, reason):
+    m = IntMatrix.identity(3)
+    cert = ReductionCertificate(input=m, left_factors=(factor,), output=m)
+    assert certificate_failure(cert) == reason
+    assert not verify_certificate(cert)
+
+
+def test_gluing_matrix_value_semantics():
+    z = zeta_matrix()
+    assert z == GluingMatrix(z.matrix.to_lists())
+    assert z.__eq__(z.matrix) is NotImplemented and z != z.matrix
+    assert hash(z) == hash(GluingMatrix(z.m)) and hash(z) != hash(z.matrix)
+    assert repr(z) == "GluingMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]])"
+
+
+def test_reduction_error_stays_exported():
+    import hopfglue
+
+    assert hopfglue.ReductionError is ReductionError
+    assert issubclass(ReductionError, RuntimeError)

@@ -514,3 +514,28 @@ def test_trusted_builders_have_the_determinant_they_claim():
             assert leibniz_det(sl2_carry_to_e1(g, h).m.to_lists()) == 1
     for seed in range(300):
         assert leibniz_det(random_sl3(seed, 40).m.to_lists()) == 1
+
+
+@pytest.mark.parametrize("v", [(2.0, 3, 5), (1, 0.0, 0), (0, 0, 1.0), (1, 0, 1.5)])
+def test_completion_rejects_non_int_entries(v):
+    with pytest.raises(TypeError, match="must be int, got float"):
+        complete_primitive_to_sl3(v)
+
+
+@pytest.mark.parametrize("g, h", [(1.0, 0), (0, 1.0), (2, "3")])
+def test_sl2_carry_rejects_non_int_entries(g, h):
+    with pytest.raises(TypeError, match="g and h must be int"):
+        sl2_carry_to_e1(g, h)
+
+
+def test_unimodular_value_semantics():
+    u = UnimodularMatrix([[1, 2], [0, 1]])
+    assert u == UnimodularMatrix(IntMatrix([[1, 2], [0, 1]]))
+    assert u.__eq__(u.m) is NotImplemented and u != u.m
+    assert hash(u) == hash(UnimodularMatrix([[1, 2], [0, 1]]))
+    assert hash(u) != hash(u.m)
+    assert repr(u) == "UnimodularMatrix([[1, 2], [0, 1]])"
+    inv = u.inverse()
+    assert inv == UnimodularMatrix([[1, -2], [0, 1]]) and inv.det == 1
+    assert u @ IntMatrix([[1], [1]]) == IntMatrix([[3], [1]])
+    assert (u @ inv).m == IntMatrix.identity(2)
