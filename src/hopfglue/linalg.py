@@ -10,9 +10,11 @@ extended Euclidean algorithm, Smith normal form with its transformation
 matrices, gcds of k-minors, and completions of primitive vectors to
 determinant-one matrices.
 
-Every matrix the library meets at run time is 3x3 (or 2x3, 2x2), so
-products, determinants and inverses of that size are written out in
-closed form; other shapes take the general routes.  Public constructors
+Every matrix the library meets at run time is 3x3 (or 2x3, 2x2), so 3x3
+products, determinants and inverses are written out in closed form.
+Other shapes take one general route each: Bareiss elimination for
+determinants, and the Smith normal form (one gcd row transform, applied
+to the transpose for column moves) for inverses.  Public constructors
 validate their input; matrices the module builds from ints it already
 holds go through the private, unchecked ``_trusted`` constructors.
 """
@@ -41,9 +43,9 @@ _I3_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _require_int(values, what: str = "entries") -> None:
-    """Raise TypeError unless every value is an int."""
+    """Raise TypeError unless every value is an int (a bool is not)."""
     for x in values:
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"{what} must be int, got {type(x).__name__}")
 
 
@@ -137,7 +139,7 @@ class UnimodularMatrix:
     """A square integer matrix of determinant +1 or -1.
 
     The determinant is computed once at construction and kept; an exact
-    integer inverse always exists (the adjugate divided by the determinant).
+    integer inverse always exists.
     """
 
     __slots__ = ("m", "det")
@@ -226,7 +228,7 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant: cofactor expansion up to 3x3, Bareiss beyond."""
+    """Exact determinant: cofactor expansion for 3x3, Bareiss otherwise."""
     rows = a._rows
     n = len(rows)
     if n != len(rows[0]):
@@ -236,12 +238,7 @@ def determinant(a: IntMatrix) -> int:
         return (a00 * (a11 * a22 - a12 * a21)
                 - a01 * (a10 * a22 - a12 * a20)
                 + a02 * (a10 * a21 - a11 * a20))
-    if n == 2:
-        (a00, a01), (a10, a11) = rows
-        return a00 * a11 - a01 * a10
-    if n == 1:
-        return rows[0][0]
-    # Fraction-free (Bareiss) elimination.
+    # Fraction-free (Bareiss) elimination; a 1x1 matrix is its own pivot.
     m = a.to_lists()
     sign = 1
     prev = 1
@@ -262,35 +259,23 @@ def determinant(a: IntMatrix) -> int:
 
 
 def inverse_unimodular(a: UnimodularMatrix) -> UnimodularMatrix:
-    """Exact integer inverse: the adjugate times the determinant.
+    """Exact integer inverse, with the same determinant as ``a``.
 
-    Dividing by the determinant is multiplying by it, since it is +1 or
-    -1, and the inverse has the same determinant.
+    A 3x3 inverse is the adjugate times the determinant: dividing by +1
+    or -1 is multiplying by it.  Any other size is read off the Smith
+    form: a unimodular ``a`` has ``u @ a @ v == I``, so its inverse is
+    ``v @ u``.
     """
-    n = a.m.rows
     d = a.det
-    if n == 1:
-        return a
-    if n == 3:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.m._rows
-        adj = (
-            (a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
-            (a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
-            (a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
-        )
-    else:
-        rows = a.m._rows
-
-        def minor(i, j):
-            return IntMatrix._trusted(
-                tuple(row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:])
-            )
-
-        # adjugate = transpose of the cofactors
-        adj = tuple(
-            tuple((-1) ** (i + j) * determinant(minor(j, i)) for j in range(n))
-            for i in range(n)
-        )
+    if a.m.rows != 3:
+        snf = smith_normal_form(a.m)
+        return UnimodularMatrix._trusted(snf.v.m @ snf.u.m, d)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.m._rows
+    adj = (
+        (a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+        (a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+        (a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
+    )
     if d == -1:
         adj = tuple(tuple(-x for x in row) for row in adj)
     return UnimodularMatrix._trusted(IntMatrix._trusted(adj), d)
@@ -325,67 +310,36 @@ def _egcd(a: int, b: int) -> tuple:
 
 # --- Smith normal form -------------------------------------------------
 #
-# The working state is three mutable lists-of-lists (d, u, v) kept in the
-# invariant u @ a @ v == d.  Row operations touch d and u, column
-# operations touch d and v.
+# The working state is three mutable lists-of-lists (d, u, vt) kept in the
+# invariant u @ a @ v == d, with v held transposed as vt.  Row operations
+# touch the rows of d and u.  A column operation on d is the same row
+# operation on the transpose of d, and on vt, so one row routine does both.
 
 
-def _row_gcd_transform(d, u, t, i):
-    """Left-multiply rows (t, i) by a det-1 transform making d[i][t] = 0."""
+def _gcd_rows(d, w, t, i):
+    """Left-multiply rows (t, i) of d and w by a det-1 transform making d[i][t] = 0.
+
+    The caller ensures d[i][t] != 0.  If d[t][t] divides it, only row i moves.
+    """
     a0, b0 = d[t][t], d[i][t]
-    if b0 == 0:
-        return
     if a0 != 0 and b0 % a0 == 0:
-        q = b0 // a0
-        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        return
-    g, x, y = extended_gcd(a0, b0)
-    aa, bb = a0 // g, b0 // g
-    dt, di = d[t], d[i]
-    d[t] = [x * p + y * q for p, q in zip(dt, di)]
-    d[i] = [-bb * p + aa * q for p, q in zip(dt, di)]
-    ut, ui = u[t], u[i]
-    u[t] = [x * p + y * q for p, q in zip(ut, ui)]
-    u[i] = [-bb * p + aa * q for p, q in zip(ut, ui)]
+        x, y, aa, bb = 1, 0, 1, b0 // a0
+    else:
+        g, x, y = extended_gcd(a0, b0)
+        aa, bb = a0 // g, b0 // g
+    for z in (d, w):
+        zt, zi = z[t], z[i]
+        z[t] = [x * p + y * q for p, q in zip(zt, zi)]
+        z[i] = [-bb * p + aa * q for p, q in zip(zt, zi)]
 
 
-def _col_gcd_transform(d, v, t, j):
-    """Right-multiply cols (t, j) by a det-1 transform making d[t][j] = 0."""
-    a0, b0 = d[t][t], d[t][j]
-    if b0 == 0:
-        return
-    if a0 != 0 and b0 % a0 == 0:
-        q = b0 // a0
-        for row in d:
-            row[j] -= q * row[t]
-        for row in v:
-            row[j] -= q * row[t]
-        return
-    g, x, y = extended_gcd(a0, b0)
-    aa, bb = a0 // g, b0 // g
-    for row in d:
-        ct, cj = row[t], row[j]
-        row[t] = x * ct + y * cj
-        row[j] = -bb * ct + aa * cj
-    for row in v:
-        ct, cj = row[t], row[j]
-        row[t] = x * ct + y * cj
-        row[j] = -bb * ct + aa * cj
-
-
-def _move_pivot(d, u, v, t, m, n) -> bool:
+def _move_pivot(d, u, vt, t, m, n) -> bool:
     """Swap the smallest nonzero |entry| of the trailing block into (t, t).
 
     Ties break by row, then column.  Returns False when the block is zero.
     """
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            if d[i][j] != 0:
-                key = (abs(d[i][j]), i, j)
-                if best is None or key < best:
-                    best = key
+    best = min(((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                if d[i][j]), default=None)
     if best is None:
         return False
     _, bi, bj = best
@@ -395,27 +349,29 @@ def _move_pivot(d, u, v, t, m, n) -> bool:
     if bj != t:
         for row in d:
             row[t], row[bj] = row[bj], row[t]
-        for row in v:
-            row[t], row[bj] = row[bj], row[t]
+        vt[t], vt[bj] = vt[bj], vt[t]
     return True
 
 
-def _clear_position(d, u, v, t, m, n):
+def _clear_position(d, u, vt, t, m, n):
     """Zero out row t and column t beyond the pivot, alternating passes.
 
-    Each general gcd transform replaces the pivot by a strict divisor, so
-    the alternation terminates.
+    The column pass works on the transpose of d.  Each general gcd
+    transform replaces the pivot by a strict divisor, so the alternation
+    terminates.
     """
     while True:
         for i in range(t + 1, m):
             if d[i][t]:
-                _row_gcd_transform(d, u, t, i)
+                _gcd_rows(d, u, t, i)
+        dt = [list(col) for col in zip(*d)]
         for j in range(t + 1, n):
-            if d[t][j]:
-                _col_gcd_transform(d, v, t, j)
-        if not any(d[i][t] for i in range(t + 1, m)) and not any(
-            d[t][j] for j in range(t + 1, n)
-        ):
+            if dt[j][t]:
+                _gcd_rows(dt, vt, t, j)
+        d[:] = map(list, zip(*dt))
+        # Each pass leaves its own line clear; only the column pass can
+        # refill column t.
+        if not any(d[i][t] for i in range(t + 1, m)):
             return
 
 
@@ -429,13 +385,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     m, n = a.rows, a.cols
     d = a.to_lists()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     limit = min(m, n)
 
     for t in range(limit):
-        if not _move_pivot(d, u, v, t, m, n):
+        if not _move_pivot(d, u, vt, t, m, n):
             break
-        _clear_position(d, u, v, t, m, n)
+        _clear_position(d, u, vt, t, m, n)
 
     def fix_sign(i):
         if d[i][i] < 0:
@@ -453,16 +409,15 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 # (d_i, d_j) becomes (gcd, lcm) and nothing else moves.
                 for row in d:
                     row[i] += row[j]
-                for row in v:
-                    row[i] += row[j]
-                _clear_position(d, u, v, i, m, n)
+                vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+                _clear_position(d, u, vt, i, m, n)
                 fix_sign(i)
                 fix_sign(j)
 
     return SnfResult(
         u=UnimodularMatrix(IntMatrix._trusted(tuple(map(tuple, u)))),
         d=IntMatrix._trusted(tuple(map(tuple, d))),
-        v=UnimodularMatrix(IntMatrix._trusted(tuple(map(tuple, v)))),
+        v=UnimodularMatrix(IntMatrix._trusted(tuple(zip(*vt)))),
     )
 
 

@@ -161,3 +161,9 @@ def test_presentation_rejects_negative_generator_count():
 def test_group_rejects_non_int_fields(rank, factors):
     with pytest.raises(TypeError, match="rank and invariant factors must be int, got float"):
         FgAbelianGroup(rank, factors)
+
+
+@pytest.mark.parametrize("rank, factors", [(True, ()), (False, (2,)), (1, (True,))])
+def test_group_rejects_bool_fields(rank, factors):
+    with pytest.raises(TypeError, match="rank and invariant factors must be int, got bool"):
+        FgAbelianGroup(rank, factors)

@@ -532,6 +532,15 @@ def test_params_reject_non_int_entries(a, b, p):
         LogTransformParams(a, b, p, completion=completion)
 
 
+@pytest.mark.parametrize("a, b, p", [(True, 0, 1), (1, False, 1), (0, 0, True)])
+def test_params_reject_bool_entries(a, b, p):
+    with pytest.raises(TypeError, match="a, b and p must be int, got bool"):
+        LogTransformParams(a, b, p)
+    completion = complete_primitive_to_sl3((int(a), int(b), int(p)))
+    with pytest.raises(TypeError, match="a, b and p must be int, got bool"):
+        LogTransformParams(a, b, p, completion=completion)
+
+
 @pytest.mark.parametrize("factor, reason", [
     (IntMatrix([[1, 0, 0], [0, 1, 0]]), "left factor 0 is not 3x3"),
     ([[1, 0, 0], [0, 1], [0, 0, 1]],
@@ -550,6 +559,23 @@ def test_gluing_matrix_value_semantics():
     assert z.__eq__(z.matrix) is NotImplemented and z != z.matrix
     assert hash(z) == hash(GluingMatrix(z.m)) and hash(z) != hash(z.matrix)
     assert repr(z) == "GluingMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]])"
+
+
+def test_gluing_matrix_wraps_a_gluing_and_rejects_other_sizes():
+    z = zeta_matrix()
+    assert GluingMatrix(z) == z
+    with pytest.raises(ValueError, match="gluing matrices are 3x3"):
+        GluingMatrix(UnimodularMatrix([[0, 1], [-1, 0]]))
+
+
+def test_params_repr():
+    assert repr(LogTransformParams(2, 3, 5)) == "LogTransformParams(2, 3, 5)"
+
+
+def test_normal_form_from_nested_lists():
+    nf = NormalForm([[0, 1], [-1, 2]])
+    assert nf == NormalForm(IntMatrix([[0, 1], [-1, 2]]))
+    assert isinstance(nf.block, IntMatrix)
 
 
 def test_reduction_error_stays_exported():

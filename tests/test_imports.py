@@ -24,6 +24,27 @@ def _used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _private_definitions(tree):
+    """Private names a module binds at top level: functions, classes, constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def test_the_package_has_modules():
     assert {p.name for p in MODULES} >= {"linalg.py", "gluing.py", "cli.py"}
 
@@ -33,3 +54,14 @@ def test_no_module_imports_a_name_it_never_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    # Only the package source counts: a helper that just the tests call is dead.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    defined = [(name, n) for name, tree in trees.items() for n in _private_definitions(tree)]
+    assert len(defined) > 40
+    dead = [f"{name}: {n}" for name, n in defined if n not in used]
+    assert dead == [], f"private names defined but never used: {dead}"

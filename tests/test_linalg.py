@@ -100,6 +100,13 @@ def test_determinant_against_leibniz_oracle():
             assert determinant(IntMatrix(rows)) == leibniz_det(rows)
 
 
+def test_determinant_with_a_zero_first_column_is_zero():
+    rng = random.Random(61)
+    for n in (1, 2, 4, 5):
+        rows = [[0] + [rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n)]
+        assert determinant(IntMatrix(rows)) == 0
+
+
 def test_determinant_requires_square():
     with pytest.raises(ShapeError):
         determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
@@ -571,6 +578,24 @@ def test_completion_rejects_non_int_entries(v):
 @pytest.mark.parametrize("g, h", [(1.0, 0), (0, 1.0), (2, "3")])
 def test_sl2_carry_rejects_non_int_entries(g, h):
     with pytest.raises(TypeError, match="g and h must be int"):
+        sl2_carry_to_e1(g, h)
+
+
+@pytest.mark.parametrize("rows", [[[True]], [[1, 0], [False, 1]]])
+def test_matrix_rejects_bool_entries(rows):
+    with pytest.raises(TypeError, match="entries must be int, got bool"):
+        IntMatrix(rows)
+
+
+@pytest.mark.parametrize("v", [(True, False, 1), (1, False, 0), (0, 0, True)])
+def test_completion_rejects_bool_entries(v):
+    with pytest.raises(TypeError, match="entries must be int, got bool"):
+        complete_primitive_to_sl3(v)
+
+
+@pytest.mark.parametrize("g, h", [(True, 0), (0, True)])
+def test_sl2_carry_rejects_bool_entries(g, h):
+    with pytest.raises(TypeError, match="g and h must be int, got bool"):
         sl2_carry_to_e1(g, h)
 
 
