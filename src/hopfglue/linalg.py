@@ -323,10 +323,12 @@ def _gcd_rows(d, w, t, i):
     """
     a0, b0 = d[t][t], d[i][t]
     if a0 != 0 and b0 % a0 == 0:
-        x, y, aa, bb = 1, 0, 1, b0 // a0
-    else:
-        g, x, y = extended_gcd(a0, b0)
-        aa, bb = a0 // g, b0 // g
+        q = b0 // a0
+        for z in (d, w):
+            z[i] = [x - q * y for x, y in zip(z[i], z[t])]
+        return
+    g, x, y = extended_gcd(a0, b0)
+    aa, bb = a0 // g, b0 // g
     for z in (d, w):
         zt, zi = z[t], z[i]
         z[t] = [x * p + y * q for p, q in zip(zt, zi)]
