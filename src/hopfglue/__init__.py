@@ -15,7 +15,17 @@ The package has four layers:
 
 A command-line interface lives in :mod:`hopfglue.cli` (installed as the
 ``hopfglue`` script).
+
+The first three layers are imported with the package.  The sweep names
+exported here load :mod:`hopfglue.sweep` on first access (PEP 562), so a
+command that runs no sweep never imports it.  The function
+``hopfglue.sweep`` shares its name with that submodule, and stays the
+function after the submodule is imported.
 """
+
+import sys
+import types
+from importlib import import_module
 
 from .abelian import (
     FgAbelianGroup,
@@ -66,15 +76,16 @@ from .linalg import (
     sl2_carry_to_e1,
     smith_normal_form,
 )
-from .sweep import (
-    SweepRecord,
-    SweepSpec,
-    SweepSpecError,
-    SweepSummary,
-    count_skipped,
-    iter_sweep,
-    summarize,
-    sweep,
+#: The names exported from hopfglue.sweep, loaded on first access.
+_SWEEP_NAMES = (
+    "SweepRecord",
+    "SweepSpec",
+    "SweepSpecError",
+    "SweepSummary",
+    "count_skipped",
+    "iter_sweep",
+    "summarize",
+    "sweep",
 )
 
 __version__ = "0.1.0"
@@ -132,3 +143,31 @@ __all__ = [
     "verify_certificate",
     "zeta_matrix",
 ]
+
+
+def __getattr__(name):
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(".sweep", __name__)
+    names = globals()
+    for n in _SWEEP_NAMES:
+        names[n] = getattr(module, n)
+    return names[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SWEEP_NAMES))
+
+
+class _Package(types.ModuleType):
+    """The package module: importing the submodule ``sweep`` keeps the function."""
+
+    def __setattr__(self, name, value):
+        # The import system binds each loaded submodule as an attribute of
+        # its package; for hopfglue.sweep that would hide the function.
+        if name == "sweep" and isinstance(value, types.ModuleType):
+            value = value.sweep
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

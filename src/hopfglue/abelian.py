@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .linalg import IntMatrix, ShapeError, _require_int, smith_normal_form
+from .linalg import IntMatrix, ShapeError, _require_int, _Value, smith_normal_form
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     """Generators and abelian relation rows.
 
     Each relation is a vector of exponents over the generators; only the
@@ -28,21 +27,19 @@ class Presentation:
     ((1, 0, -1), (0, 0, 1))
     """
 
-    num_generators: int
-    relations: tuple = field(default=())
+    __slots__ = ("num_generators", "relations")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "relations", tuple(tuple(row) for row in self.relations)
-        )
-        if self.num_generators < 0:
+    def __init__(self, num_generators: int, relations: tuple = ()):
+        relations = tuple(tuple(row) for row in relations)
+        if num_generators < 0:
             raise ValueError("number of generators must be >= 0")
-        for row in self.relations:
-            if len(row) != self.num_generators:
+        for row in relations:
+            if len(row) != num_generators:
                 raise ShapeError(
                     f"relation {row!r} has {len(row)} entries, "
-                    f"expected {self.num_generators}"
+                    f"expected {num_generators}"
                 )
+        self._set(num_generators, relations)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .gluing import (
     reduce_to_standard,
 )
 from .linalg import IntMatrix, NotUnimodularError
-from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -287,7 +286,9 @@ def cmd_verify(args) -> int:
     return 5
 
 
-def _sweep_spec_from_args(args) -> SweepSpec:
+def _sweep_spec_from_args(args):
+    from .sweep import SweepSpec
+
     if args.random is not None:
         if args.p_range or args.q_range or args.direction_plus or args.direction_minus:
             raise DocumentError("--random cannot be combined with tuple-sweep flags")
@@ -393,7 +394,15 @@ def _summary_json_text(s, skipped: int) -> str:
 
 
 def cmd_sweep(args) -> int:
-    spec = _sweep_spec_from_args(args)
+    # Imported here so that the other commands do not load sweep.  A bad
+    # spec becomes a DocumentError, so main's except table names no sweep
+    # type.
+    from .sweep import SweepSpecError, count_skipped, iter_sweep, summarize
+
+    try:
+        spec = _sweep_spec_from_args(args)
+    except SweepSpecError as exc:
+        raise DocumentError(str(exc)) from exc
     out = sys.stdout
     if args.format == "csv":
         out.write(CSV_HEADER + "\n")
@@ -487,7 +496,7 @@ def main(argv=None) -> int:
             code = args.fn(args)
         except SystemExit as exc:  # --help, or a usage error argparse reported
             code = int(exc.code or 0)
-        except (DocumentError, SweepSpecError, OutputError) as exc:
+        except (DocumentError, OutputError) as exc:
             code = _fail(str(exc), 2)
         except NotHomologyHopfError as exc:
             code = _fail(str(exc), 4)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .abelian import FgAbelianGroup
 from .linalg import (
@@ -34,6 +33,7 @@ from .linalg import (
     ShapeError,
     UnimodularMatrix,
     _require_int,
+    _Value,
     complete_primitive_to_sl3,
     inverse_unimodular,
     sl2_carry_to_e1,
@@ -151,25 +151,22 @@ class LogTransformParams:
         return f"LogTransformParams({self.a}, {self.b}, {self.p})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Value):
     """The reduced gluing shape [[a, c, 1], [b, d, 0], [0, 0, 1]].
 
     Only the determinant-1 block [[a, c], [b, d]] varies; it is the framing
     data left over after the reduction.
     """
 
-    block: IntMatrix
+    __slots__ = ("block",)
 
-    def __post_init__(self):
-        b = self.block
-        if not isinstance(b, IntMatrix):
-            b = IntMatrix(b)
-            object.__setattr__(self, "block", b)
+    def __init__(self, block: IntMatrix):
+        b = block if isinstance(block, IntMatrix) else IntMatrix(block)
         if (b.rows, b.cols) != (2, 2):
             raise ValueError("block must be 2x2")
         if b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] != 1:
             raise ValueError("block must have determinant 1")
+        self._set(b)
 
     @property
     def matrix(self) -> IntMatrix:
@@ -177,8 +174,7 @@ class NormalForm:
         return IntMatrix._trusted(((a, c, 1), (b, d, 0), (0, 0, 1)))
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(_Value):
     """A factorization witnessing that two gluings give the same manifold.
 
     ``left_factors`` multiply on the left with the first element outermost,
@@ -192,14 +188,11 @@ class ReductionCertificate:
     plain data and can be re-checked without trusting its producer.
     """
 
-    input: IntMatrix
-    left_factors: tuple = field(default=())
-    right_factors: tuple = field(default=())
-    output: IntMatrix = None
+    __slots__ = ("input", "left_factors", "right_factors", "output")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left_factors", tuple(self.left_factors))
-        object.__setattr__(self, "right_factors", tuple(self.right_factors))
+    def __init__(self, input: IntMatrix, left_factors: tuple = (),
+                 right_factors: tuple = (), output: IntMatrix = None):
+        self._set(input, tuple(left_factors), tuple(right_factors), output)
 
 
 def _as_matrix(m) -> IntMatrix:

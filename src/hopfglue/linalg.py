@@ -17,13 +17,16 @@ determinants, and the Smith normal form (one gcd row transform, applied
 to the transpose for column moves) for inverses.  Public constructors
 validate their input; matrices the module builds from ints it already
 holds go through the private, unchecked ``_trusted`` constructors.
+
+Result records (``SnfResult`` here, and the ones the other layers define
+on the same private base) are ``__slots__`` value classes rather than
+dataclasses: creating a dataclass costs about a millisecond at import.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -184,8 +187,51 @@ class UnimodularMatrix:
         return f"UnimodularMatrix({self.m.to_lists()!r})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class _Value:
+    """Base of the immutable value classes: fields are the ``__slots__``.
+
+    Like a frozen dataclass, an instance is equal to another of the same
+    class with equal fields, hashes as the tuple of its fields, has the
+    repr ``Name(field=value, ...)``, and refuses assignment and deletion.
+    A subclass's ``__init__`` validates and then stores its fields with
+    ``_set``.  Copies and pickles are rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class SnfResult(_Value):
     """Smith normal form ``u @ a @ v == d`` of an input matrix ``a``.
 
     ``d`` has the shape of ``a``, is zero off the diagonal, and its diagonal
@@ -193,9 +239,10 @@ class SnfResult:
     are unimodular.
     """
 
-    u: UnimodularMatrix
-    d: IntMatrix
-    v: UnimodularMatrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: UnimodularMatrix, d: IntMatrix, v: UnimodularMatrix):
+        self._set(u, d, v)
 
     def diagonal(self) -> tuple:
         n = min(self.d.rows, self.d.cols)
@@ -314,6 +361,9 @@ def _egcd(a: int, b: int) -> tuple:
 # invariant u @ a @ v == d, with v held transposed as vt.  Row operations
 # touch the rows of d and u.  A column operation on d is the same row
 # operation on the transpose of d, and on vt, so one row routine does both.
+# Every gcd transform and column fold has determinant 1, so the
+# determinants of u and v are the signs of their swaps and sign flips,
+# tracked as the elimination goes.
 
 
 def _gcd_rows(d, w, t, i):
@@ -335,24 +385,28 @@ def _gcd_rows(d, w, t, i):
         z[i] = [-bb * p + aa * q for p, q in zip(zt, zi)]
 
 
-def _move_pivot(d, u, vt, t, m, n) -> bool:
+def _move_pivot(d, u, vt, t, m, n):
     """Swap the smallest nonzero |entry| of the trailing block into (t, t).
 
-    Ties break by row, then column.  Returns False when the block is zero.
+    Ties break by row, then column.  Returns None when the block is zero,
+    else the determinants (+1 or -1) of the swaps applied to u and to v.
     """
     best = min(((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n)
                 if d[i][j]), default=None)
     if best is None:
-        return False
+        return None
     _, bi, bj = best
+    su = sv = 1
     if bi != t:
         d[t], d[bi] = d[bi], d[t]
         u[t], u[bi] = u[bi], u[t]
+        su = -1
     if bj != t:
         for row in d:
             row[t], row[bj] = row[bj], row[t]
         vt[t], vt[bj] = vt[bj], vt[t]
-    return True
+        sv = -1
+    return su, sv
 
 
 def _clear_position(d, u, vt, t, m, n):
@@ -389,16 +443,22 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     limit = min(m, n)
+    det_u = det_v = 1
 
     for t in range(limit):
-        if not _move_pivot(d, u, vt, t, m, n):
+        signs = _move_pivot(d, u, vt, t, m, n)
+        if signs is None:
             break
+        det_u *= signs[0]
+        det_v *= signs[1]
         _clear_position(d, u, vt, t, m, n)
 
     def fix_sign(i):
+        nonlocal det_u
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
+            det_u = -det_u
 
     for i in range(limit):
         fix_sign(i)
@@ -417,9 +477,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 fix_sign(j)
 
     return SnfResult(
-        u=UnimodularMatrix(IntMatrix._trusted(tuple(map(tuple, u)))),
-        d=IntMatrix._trusted(tuple(map(tuple, d))),
-        v=UnimodularMatrix(IntMatrix._trusted(tuple(zip(*vt)))),
+        UnimodularMatrix._trusted(IntMatrix._trusted(tuple(map(tuple, u))), det_u),
+        IntMatrix._trusted(tuple(map(tuple, d))),
+        UnimodularMatrix._trusted(IntMatrix._trusted(tuple(zip(*vt))), det_v),
     )
 
 

@@ -10,12 +10,12 @@ sample index), so two runs of the same spec produce identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from .abelian import FgAbelianGroup
 from .gluing import group_of_mu
-from .linalg import IntMatrix, random_sl3
+from .linalg import IntMatrix, _Value, random_sl3
 
 TUPLE_MODE = "tuple"
 MATRIX_MODE = "matrix"
@@ -100,11 +100,16 @@ class SweepRecord:
     matrix: IntMatrix = None
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    total: int
-    homology_hopf_count: int
-    mu_counts: tuple = field(default=())  # ((mu, count), ...) ascending
+class SweepSummary(_Value):
+    """Counts over a sweep: cells, homology-Hopf cells, and cells by mu.
+
+    ``mu_counts`` holds ``(mu, count)`` pairs in ascending ``mu``.
+    """
+
+    __slots__ = ("total", "homology_hopf_count", "mu_counts")
+
+    def __init__(self, total: int, homology_hopf_count: int, mu_counts: tuple = ()):
+        self._set(total, homology_hopf_count, mu_counts)
 
     def mu_histogram(self) -> dict:
         return dict(self.mu_counts)

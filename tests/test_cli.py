@@ -667,6 +667,11 @@ def test_sweep_invalid_flags(capsys):
                "--p-range", "0:1", "--q-range", "0:1")[0] == 2
 
 
+def test_bad_sweep_specs_exit_two_with_the_spec_message(capsys):
+    assert run(capsys, *SWEEP_ARGS[:-1], "2:0") == (2, "", "error: empty range for q: 2:0\n")
+    assert run(capsys, "sweep", "--random", "-1") == (2, "", "error: sample_count must be >= 0\n")
+
+
 def test_unknown_flags_exit_two(capsys):
     assert main(["sweep", "--bogus"]) == 2
     capsys.readouterr()
@@ -878,3 +883,37 @@ def test_importing_the_cli_leaves_selftest_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout == "False\n"
+
+
+#: Runs hopfglue.cli.main on argv in a fresh interpreter, then prints the
+#: exit code and which of the sweep and selftest modules got loaded.
+_MAIN_PROBE = """
+import contextlib, io, sys
+from hopfglue.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, [m for m in ("hopfglue.sweep", "hopfglue.selftest") if m in sys.modules])
+"""
+
+
+def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate_document(
+        reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["classify", "--matrix", ZETA_ARG],
+                 ["compose", "--plus", "1,0,2", "--minus", "0,1,3"],
+                 ["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"],
+                 ["verify", "--file", str(cert)]):
+        proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == "0 []\n", argv
+
+
+def test_importing_the_package_loads_the_gluing_layer():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, hopfglue; "
+             "print('hopfglue.gluing' in sys.modules, 'hopfglue.sweep' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "True False\n"
