@@ -16,24 +16,19 @@ The package has four layers:
 A command-line interface lives in :mod:`hopfglue.cli` (installed as the
 ``hopfglue`` script).
 
-The first three layers are imported with the package.  The sweep names
-exported here load :mod:`hopfglue.sweep` on first access (PEP 562), so a
-command that runs no sweep never imports it.  The function
-``hopfglue.sweep`` shares its name with that submodule, and stays the
-function after the submodule is imported.
+Importing the package loads :mod:`hopfglue.linalg` and
+:mod:`hopfglue.gluing`.  The names exported here from
+:mod:`hopfglue.abelian` and :mod:`hopfglue.sweep` load their module on
+first access (PEP 562), and so does building the first group, so
+``reduce`` and ``verify``, which build none, import neither.  The
+function ``hopfglue.sweep`` shares its name with that submodule, and
+stays the function after the submodule is imported.
 """
 
 import sys
 import types
 from importlib import import_module
 
-from .abelian import (
-    FgAbelianGroup,
-    Presentation,
-    group_from_presentation,
-    is_isomorphic,
-    torsion_order,
-)
 from .gluing import (
     CONVENTION,
     GluingMatrix,
@@ -76,17 +71,23 @@ from .linalg import (
     sl2_carry_to_e1,
     smith_normal_form,
 )
-#: The names exported from hopfglue.sweep, loaded on first access.
-_SWEEP_NAMES = (
-    "SweepRecord",
-    "SweepSpec",
-    "SweepSpecError",
-    "SweepSummary",
-    "count_skipped",
-    "iter_sweep",
-    "summarize",
-    "sweep",
-)
+
+#: The exported names loaded on first access, each with its submodule.
+_LAZY = {
+    "FgAbelianGroup": "abelian",
+    "Presentation": "abelian",
+    "group_from_presentation": "abelian",
+    "is_isomorphic": "abelian",
+    "torsion_order": "abelian",
+    "SweepRecord": "sweep",
+    "SweepSpec": "sweep",
+    "SweepSpecError": "sweep",
+    "SweepSummary": "sweep",
+    "count_skipped": "sweep",
+    "iter_sweep": "sweep",
+    "summarize": "sweep",
+    "sweep": "sweep",
+}
 
 __version__ = "0.1.0"
 
@@ -146,17 +147,19 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name not in _SWEEP_NAMES:
+    submodule = _LAZY.get(name)
+    if submodule is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(".sweep", __name__)
+    module = import_module("." + submodule, __name__)
     names = globals()
-    for n in _SWEEP_NAMES:
-        names[n] = getattr(module, n)
+    for n, m in _LAZY.items():
+        if m == submodule:
+            names[n] = getattr(module, n)
     return names[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SWEEP_NAMES))
+    return sorted(set(globals()) | set(_LAZY))
 
 
 class _Package(types.ModuleType):

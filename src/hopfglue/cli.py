@@ -21,7 +21,6 @@ import math
 import os
 import sys
 
-from .abelian import FgAbelianGroup, is_isomorphic
 from .gluing import (
     CONVENTION,
     GluingMatrix,
@@ -39,6 +38,14 @@ from .gluing import (
     reduce_to_standard,
 )
 from .linalg import IntMatrix, NotUnimodularError
+
+# The annotations name FgAbelianGroup, but abelian loads only for the
+# commands that build a group.  Type checkers read TYPE_CHECKING as true;
+# taking it from typing would import typing, which the CLI otherwise never
+# loads.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .abelian import FgAbelianGroup
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -248,6 +255,8 @@ def _params_from_args(triple, completion_text, what):
 
 
 def cmd_compose(args) -> int:
+    from .abelian import is_isomorphic
+
     tp = _parse_int_list(args.plus, 3, "--plus")
     tm = _parse_int_list(args.minus, 3, "--minus")
     plus = _params_from_args(tp, args.plus_completion, "--plus")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 
-from .abelian import FgAbelianGroup
 from .linalg import (
     IntMatrix,
     NotPrimitiveError,
@@ -38,6 +37,13 @@ from .linalg import (
     inverse_unimodular,
     sl2_carry_to_e1,
 )
+
+# The annotations name FgAbelianGroup, but abelian loads only when the first
+# group is built.  Type checkers read TYPE_CHECKING as true; taking it from
+# typing would import typing, which the CLI otherwise never loads.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .abelian import FgAbelianGroup
 
 #: Serialization tag for the basis/composition convention fixed above.
 CONVENTION = "columns-are-images-alpha-beta-gamma"
@@ -249,7 +255,8 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
 
 #: Shared groups by mu.  Groups are immutable, so every caller may hold
 #: the same instance; past _GROUPS_MAX entries new groups are not kept.
-_GROUPS = {0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())}
+#: The first miss imports abelian and puts in the free groups, mu 0 and 1.
+_GROUPS = {}
 _GROUPS_MAX = 4096
 
 
@@ -257,8 +264,17 @@ def group_of_mu(mu: int) -> FgAbelianGroup:
     """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
     g = _GROUPS.get(mu)
     if g is None:
+        if not _GROUPS:
+            from .abelian import FgAbelianGroup
+
+            # One update, so no other thread sees one free group without the other.
+            _GROUPS.update({0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())})
+            return group_of_mu(mu)
+        # The class of the free groups, which stay cached: taking it from
+        # them costs far less than an import statement on every miss.
+        group = type(_GROUPS[0])
         # Z/mu is already in normal form for mu >= 2; anything else raises.
-        g = FgAbelianGroup._trusted(1, (mu,)) if mu >= 2 else FgAbelianGroup(1, (mu,))
+        g = group._trusted(1, (mu,)) if mu >= 2 else group(1, (mu,))
         if len(_GROUPS) < _GROUPS_MAX:
             _GROUPS[mu] = g
     return g

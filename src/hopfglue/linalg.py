@@ -20,7 +20,9 @@ holds go through the private, unchecked ``_trusted`` constructors.
 
 Result records (``SnfResult`` here, and the ones the other layers define
 on the same private base) are ``__slots__`` value classes rather than
-dataclasses: creating a dataclass costs about a millisecond at import.
+dataclasses.  Creating a dataclass costs only about 0.3 ms, but importing
+``dataclasses`` and the ``inspect`` it pulls in costs about 4 ms per
+process, which the commands that build no group no longer pay.
 """
 
 from __future__ import annotations

@@ -886,14 +886,15 @@ def test_importing_the_cli_leaves_selftest_unloaded():
 
 
 #: Runs hopfglue.cli.main on argv in a fresh interpreter, then prints the
-#: exit code and which of the sweep and selftest modules got loaded.
-_MAIN_PROBE = """
+#: exit code and which of the watched modules got loaded.
+_MAIN_PROBE_OF = """
 import contextlib, io, sys
 from hopfglue.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, [m for m in ("hopfglue.sweep", "hopfglue.selftest") if m in sys.modules])
+print(code, [m for m in %r if m in sys.modules])
 """
+_MAIN_PROBE = _MAIN_PROBE_OF % (("hopfglue.sweep", "hopfglue.selftest"),)
 
 
 def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
@@ -908,6 +909,26 @@ def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
         proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, *argv],
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout == "0 []\n", argv
+
+
+def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
+    # reduce and verify build no group, so neither abelian nor the
+    # dataclasses and inspect modules it pulls in may load for them.
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate_document(
+        reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
+    probe = _MAIN_PROBE_OF % (("hopfglue.abelian", "dataclasses", "inspect"),)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    expected = [
+        (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], "0 []\n"),
+        (["verify", "--file", str(cert)], "0 []\n"),
+        (["classify", "--matrix", ZETA_ARG], "0 ['hopfglue.abelian'"),
+        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 ['hopfglue.abelian'"),
+    ]
+    for argv, start in expected:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.startswith(start), (argv, proc.stdout)
 
 
 def test_importing_the_package_loads_the_gluing_layer():

@@ -1,4 +1,4 @@
-"""The package namespace: eager layers, and the sweep names loaded on first use.
+"""The package namespace: eager layers, and the abelian and sweep names loaded on first use.
 
 The checks that depend on what is already imported run in a fresh
 interpreter, so no earlier import can hide what loading the package does.
@@ -51,6 +51,29 @@ print("ok")
     assert _run(probe) == "ok\n"
 
 
+def test_importing_the_package_leaves_abelian_unloaded():
+    probe = """
+import sys, hopfglue
+print("hopfglue.abelian" in sys.modules, "dataclasses" in sys.modules)
+"""
+    assert _run(probe) == "False False\n"
+
+
+def test_abelian_names_are_the_submodule_objects():
+    probe = """
+import sys, hopfglue
+assert "hopfglue.abelian" not in sys.modules
+assert hopfglue.FgAbelianGroup is sys.modules["hopfglue.abelian"].FgAbelianGroup
+module = sys.modules["hopfglue.abelian"]
+for name in ("Presentation", "group_from_presentation", "is_isomorphic",
+             "torsion_order"):
+    assert getattr(hopfglue, name) is getattr(module, name), name
+assert "hopfglue.sweep" not in sys.modules
+print("ok")
+"""
+    assert _run(probe) == "ok\n"
+
+
 def test_star_import_binds_every_exported_name():
     probe = """
 import hopfglue
@@ -75,6 +98,23 @@ assert listed == sorted(listed)
 print("ok")
 """
     assert _run(probe) == "ok\n"
+
+
+def test_dir_lists_the_lazy_names_before_their_modules_load():
+    probe = """
+import sys, hopfglue
+listed = dir(hopfglue)
+lazy = ("FgAbelianGroup", "Presentation", "group_from_presentation",
+        "is_isomorphic", "torsion_order", "SweepRecord", "SweepSpec",
+        "SweepSpecError", "SweepSummary", "count_skipped", "iter_sweep",
+        "summarize", "sweep")
+assert not {"hopfglue.abelian", "hopfglue.sweep"} & set(sys.modules)
+missing = [n for n in lazy if n not in listed]
+assert missing == [], missing
+assert not {"hopfglue.abelian", "hopfglue.sweep"} & set(sys.modules)
+print(len(lazy))
+"""
+    assert _run(probe) == "13\n"
 
 
 def test_unknown_attribute_raises_attribute_error():

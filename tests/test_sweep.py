@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
 import signal
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from hopfglue.sweep import (
 )
 
 sweep_module = sys.modules["hopfglue.sweep"]
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def nine_cell_spec(**kw):
@@ -330,6 +335,32 @@ def test_group_cache_stays_at_its_bound(monkeypatch):
     assert gluing.group_of_mu(0) == FgAbelianGroup(2, ())
     assert gluing.group_of_mu(1) == FgAbelianGroup(1, ())
     assert len(fresh) == bound
+
+
+#: Builds groups in a fresh interpreter, first the one for mu = argv[1], then
+#: enough others to fill the cache, and checks the free groups stay shared.
+_SHARED_GROUPS_PROBE = """
+import sys
+from hopfglue import gluing
+assert gluing._GROUPS == {} and "hopfglue.abelian" not in sys.modules
+gluing.group_of_mu(int(sys.argv[1]))
+free = gluing.group_of_mu(0), gluing.group_of_mu(1)
+assert gluing.group_of_mu(0) is free[0] and gluing.group_of_mu(1) is free[1]
+for mu in range(2, 2 * gluing._GROUPS_MAX):
+    gluing.group_of_mu(mu)
+assert len(gluing._GROUPS) == gluing._GROUPS_MAX
+assert gluing.group_of_mu(0) is free[0] and gluing.group_of_mu(1) is free[1]
+print(free[0], "|", free[1])
+"""
+
+
+@pytest.mark.parametrize("first_mu", [0, 1, 6])
+def test_free_groups_are_shared_from_the_first_group_built(first_mu):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _SHARED_GROUPS_PROBE, str(first_mu)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Z + Z | Z\n"
 
 
 def test_public_group_constructor_keeps_its_checks():
