@@ -323,17 +323,6 @@ def random_completion(v, seed: int) -> UnimodularMatrix:
     return UnimodularMatrix(base.m @ w)
 
 
-def _random_primitive_triple(rng, bound: int) -> tuple:
-    while True:
-        t = (
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
-        )
-        if math.gcd(math.gcd(t[0], t[1]), t[2]) == 1:
-            return t
-
-
 def calibrated_zeta_variant() -> str:
     """The meridian sign convention of the middle gluing: always "zeta".
 
@@ -378,9 +367,9 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
     what is computed here; the tests keep the Smith normal form route
     (group_from_presentation) as an independent oracle.
     """
-    if math.gcd(math.gcd(a, b), p) != 1:
+    if math.gcd(a, b, p) != 1:
         raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
-    if math.gcd(math.gcd(c, d), q) != 1:
+    if math.gcd(c, d, q) != 1:
         raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
     return group_of_mu(_two_log_mu(a, b, p, c, d, q))
 
@@ -478,22 +467,27 @@ def certificate_failure(cert: ReductionCertificate):
     Checks every factor against the extendability predicate (reporting the
     first offender by side and index) and then the exact product identity.
     """
-    try:
-        for side, factors in (("left", cert.left_factors),
-                              ("right", cert.right_factors)):
-            for idx, f in enumerate(factors):
+    left, right = [], []
+    for side, factors, mats in (("left", cert.left_factors, left),
+                                ("right", cert.right_factors, right)):
+        for idx, f in enumerate(factors):
+            try:
                 mat = _as_matrix(f)
-                if (mat.rows, mat.cols) != (3, 3):
-                    return f"{side} factor {idx} is not 3x3"
-                if not is_extendable(mat):
-                    return f"{side} factor {idx} is not extendable"
+            except (ValueError, TypeError) as exc:
+                return f"malformed certificate: {side} factor {idx}: {exc}"
+            if (mat.rows, mat.cols) != (3, 3):
+                return f"{side} factor {idx} is not 3x3"
+            if not is_extendable(mat):
+                return f"{side} factor {idx} is not extendable"
+            mats.append(mat)
+    try:
         product = _as_matrix(cert.input)
         if (product.rows, product.cols) != (3, 3):
             return "input is not 3x3"
-        for f in reversed(cert.left_factors):
-            product = _as_matrix(f) @ product
-        for f in cert.right_factors:
-            product = product @ _as_matrix(f)
+        for f in reversed(left):
+            product = f @ product
+        for f in right:
+            product = product @ f
         if product != _as_matrix(cert.output):
             return "product identity fails"
     except (ValueError, TypeError) as exc:

@@ -547,9 +547,6 @@ def sl2_carry_to_e1(g: int, h: int) -> UnimodularMatrix:
     return UnimodularMatrix._trusted(IntMatrix._trusted(((x, y), (-h, g))), 1)
 
 
-#: Most 32-bit words drawn from the generator at once in random_sl3.
-_WORDS_PER_DRAW = 4096
-
 #: (first, second) draw of rng.sample(range(3), 2) -> the pair (i, j) it
 #: returns: the first index picks from [0, 1, 2], and pool[2] moves into
 #: the vacancy before the second index picks from what is left.
@@ -570,40 +567,31 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
         row[i] += s * row[j]
 
     which ``tests/test_linalg.py::test_random_sl3_stream_is_pinned`` pins
-    by a digest of 3,000 seeded matrices.  That loop is replayed from
-    block draws: each of its draws is ``randbelow(n)`` with n = 3, 2, 2,
-    which takes the top two bits of one 32-bit Mersenne Twister word and
-    redraws while they are >= n, and ``getrandbits(32 * k)`` returns the
-    next k words least significant first.  Words left over when the word
-    is done are discarded, which is harmless because the generator is
-    local to the call.
+    by a digest of 3,000 seeded matrices.  Each step makes that loop's
+    three draws itself: ``sample`` draws ``randbelow(3)`` then
+    ``randbelow(2)``, and ``choice`` one ``randbelow(2)``.  For n = 2 or 3,
+    ``randbelow(n)`` is ``getrandbits(2)`` (n has two bits), the top two
+    bits of one 32-bit Mersenne Twister word, redrawn while it is >= n;
+    so ``getrandbits(2)`` called directly reads the same words in the
+    same order.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     rows = list(_I3_ROWS)
-    left = word_length
-    draw = 0  # which of a step's three draws comes next
-    while left > 0:
-        n = min(_WORDS_PER_DRAW, 6 * left + 8)
-        # The top byte of each word, in the order the loop would draw them.
-        for top in rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]:
-            v = top >> 6
-            if draw == 0:
-                if v < 3:
-                    first = v
-                    draw = 1
-            elif draw == 1:
-                if v < 2:
-                    i, j = _SAMPLE_PAIRS[first][v]
-                    draw = 2
-            elif v < 2:
-                a, b = rows[i], rows[j]
-                if v:  # choice((1, -1)) drew index 1
-                    rows[i] = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-                else:
-                    rows[i] = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-                left -= 1
-                if not left:
-                    break
-                draw = 0
+    for _ in range(word_length):
+        first = bits(2)
+        while first == 3:
+            first = bits(2)
+        second = bits(2)
+        while second > 1:
+            second = bits(2)
+        i, j = _SAMPLE_PAIRS[first][second]
+        sign = bits(2)
+        while sign > 1:
+            sign = bits(2)
+        a, b = rows[i], rows[j]
+        if sign:  # choice((1, -1)) drew index 1
+            rows[i] = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+        else:
+            rows[i] = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     # A product of elementary matrices has determinant 1.
     return UnimodularMatrix._trusted(IntMatrix._trusted(tuple(rows)), 1)

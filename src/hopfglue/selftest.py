@@ -25,7 +25,6 @@ from .gluing import (
     reduce_to_standard,
     standard_gluing_matrix,
     verify_certificate,
-    _random_primitive_triple,
 )
 from .linalg import (
     IntMatrix,
@@ -36,6 +35,17 @@ from .linalg import (
     random_sl3,
     smith_normal_form,
 )
+
+
+def _random_primitive_triple(rng, bound: int) -> tuple:
+    while True:
+        t = (
+            rng.randint(-bound, bound),
+            rng.randint(-bound, bound),
+            rng.randint(-bound, bound),
+        )
+        if math.gcd(*t) == 1:
+            return t
 
 
 def _suite_snf_minor_gcd():

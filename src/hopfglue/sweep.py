@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .abelian import FgAbelianGroup
 from .gluing import group_of_mu
-from .linalg import IntMatrix, _Value, random_sl3
+from .linalg import IntMatrix, _require_int, _Value, random_sl3
 
 TUPLE_MODE = "tuple"
 MATRIX_MODE = "matrix"
@@ -56,10 +56,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in (TUPLE_MODE, MATRIX_MODE):
             raise SweepSpecError(f"unknown mode {self.mode!r}")
+        names = ("a", "b", "p", "c", "d", "q")
+        ranges = [tuple(getattr(self, name + "_range")) for name in names]
+        _require_int(
+            (*chain.from_iterable(ranges),
+             self.sample_count, self.seed, self.word_length),
+            "range ends, sample_count, seed and word_length",
+        )
         if self.mode == TUPLE_MODE:
-            for name in ("a", "b", "p", "c", "d", "q"):
-                r = getattr(self, name + "_range")
-                object.__setattr__(self, name + "_range", _check_range(name, tuple(r)))
+            for name, r in zip(names, ranges):
+                object.__setattr__(self, name + "_range", _check_range(name, r))
         else:
             if self.sample_count < 0:
                 raise SweepSpecError("sample_count must be >= 0")

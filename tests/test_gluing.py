@@ -13,7 +13,6 @@ from hopfglue.gluing import (
     NotHomologyHopfError,
     OrientationError,
     ReductionCertificate,
-    _random_primitive_triple,
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
@@ -41,6 +40,7 @@ from hopfglue.linalg import (
     random_sl3,
     smith_normal_form,
 )
+from hopfglue.selftest import _random_primitive_triple
 
 from test_acceptance import _criterion_pairs
 
@@ -541,14 +541,18 @@ def test_params_reject_bool_entries(a, b, p):
         LogTransformParams(a, b, p, completion=completion)
 
 
-@pytest.mark.parametrize("factor, reason", [
-    (IntMatrix([[1, 0, 0], [0, 1, 0]]), "left factor 0 is not 3x3"),
-    ([[1, 0, 0], [0, 1], [0, 0, 1]],
-     "malformed certificate: all rows must have the same length"),
-])
-def test_certificate_failure_names_a_bad_factor(factor, reason):
+@pytest.mark.parametrize("left, right, reason", [
+    ((IntMatrix([[1, 0, 0], [0, 1, 0]]),), (), "left factor 0 is not 3x3"),
+    (([[1, 0, 0], [0, 1], [0, 0, 1]],), (),
+     "malformed certificate: left factor 0: all rows must have the same length"),
+    ((), (IntMatrix.identity(3), [[1, 0, 0], [0, 1], [0, 0, 1]]),
+     "malformed certificate: right factor 1: all rows must have the same length"),
+    (([[1, 0, 0], [0, 1.0, 0], [0, 0, 1]],), (),
+     "malformed certificate: left factor 0: entries must be int, got float"),
+], ids=["not-3x3", "ragged-left", "ragged-right", "float-entry"])
+def test_certificate_failure_names_a_bad_factor(left, right, reason):
     m = IntMatrix.identity(3)
-    cert = ReductionCertificate(input=m, left_factors=(factor,), output=m)
+    cert = ReductionCertificate(input=m, left_factors=left, right_factors=right, output=m)
     assert certificate_failure(cert) == reason
     assert not verify_certificate(cert)
 

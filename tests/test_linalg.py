@@ -421,11 +421,12 @@ def test_random_sl3_stream_is_pinned():
 
 
 def test_random_sl3_matches_reference_loop():
-    for word_length in (-3, 0, 1, 2, 5, 12, 48):
-        for seed in range(300):
+    for word_length in (-3, 0, 1, 2, 5, 12, 48, 192):
+        for seed in (-1, 2**64 + 7, *range(300)):
             expected = reference_random_sl3(seed, word_length)
             assert random_sl3(seed, word_length).m.to_lists() == expected
-    # Long enough to refill the random stream several times.
+    # Long words, where Mersenne Twister regenerates its 624-word state
+    # many times within one call.
     for seed in (0, 1, 2**64 + 7):
         assert random_sl3(seed, 5000).m.to_lists() == reference_random_sl3(seed, 5000)
 

@@ -126,6 +126,24 @@ def test_invalid_specs_raise():
         SweepSpec(mode="bogus")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SweepSpec.matrices(2.5),
+    lambda: SweepSpec.matrices(True, seed=True),
+    lambda: SweepSpec.matrices(3, seed=0.5),
+    lambda: SweepSpec.matrices(3, word_length=2.5),
+    lambda: SweepSpec.matrices(3, word_length=False),
+    lambda: SweepSpec.tuples(a=(0, 1.0), b=(0, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0, 2)),
+    lambda: SweepSpec.tuples(a=(0, 1), b=(0, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0.5, 2)),
+    lambda: SweepSpec.tuples(a=(0, 1), b=(False, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0, 2)),
+    lambda: SweepSpec(mode="matrix", sample_count=3, a_range=(0, 1.5)),
+], ids=["count-float", "count-and-seed-bool", "seed-float", "word-length-float",
+        "word-length-bool", "a-end-float", "q-start-float", "b-start-bool",
+        "unused-range-float"])
+def test_spec_rejects_non_int_values(make):
+    with pytest.raises(TypeError, match="must be int"):
+        make()
+
+
 # Both halves vary and both hold non-primitive triples: zero directions,
 # gcd-2 and gcd-3 directions, and multiplicities sharing their factors.
 ASYMMETRIC_SPECS = [
