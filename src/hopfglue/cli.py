@@ -73,15 +73,24 @@ class OutputError(ValueError):
 # --- document (de)serialization -----------------------------------------
 
 
-def _lists_to_matrix(obj, what="matrix") -> IntMatrix:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 3
-        or any(not isinstance(row, list) or len(row) != 3 for row in obj)
-        or any(not isinstance(x, int) or isinstance(x, bool) for row in obj for x in row)
-    ):
-        raise DocumentError(f"{what} must be a 3x3 array of integers")
-    return IntMatrix._trusted(tuple(map(tuple, obj)))
+def _lists_to_matrix(obj, what="matrix", index=None) -> IntMatrix:
+    """``obj`` as an IntMatrix if it is a list of three lists of three ints.
+
+    Otherwise DocumentError names ``what``, followed by ``index`` if one is
+    given; the label is formatted only then.  A bool is not an int here.
+    """
+    if isinstance(obj, list) and len(obj) == 3:
+        r0, r1, r2 = obj
+        if (isinstance(r0, list) and isinstance(r1, list) and isinstance(r2, list)
+                and len(r0) == len(r1) == len(r2) == 3):
+            rows = (tuple(r0), tuple(r1), tuple(r2))
+            # One pass collects the entry types; each distinct type is checked once.
+            kinds = set(map(type, rows[0] + rows[1] + rows[2]))
+            if kinds == {int} or all(issubclass(t, int) and t is not bool for t in kinds):
+                return IntMatrix._trusted(rows)
+    if index is not None:
+        what = f"{what} {index}"
+    raise DocumentError(f"{what} must be a 3x3 array of integers")
 
 
 def _gluing(m: IntMatrix, context: str = "") -> GluingMatrix:
@@ -110,10 +119,10 @@ def parse_matrix_document(obj) -> GluingMatrix:
 
 def certificate_document(cert: ReductionCertificate) -> dict:
     return {
-        "input": cert.input.to_lists(),
-        "output": cert.output.to_lists(),
-        "left_factors": [f.to_lists() for f in cert.left_factors],
-        "right_factors": [f.to_lists() for f in cert.right_factors],
+        "input": list(map(list, cert.input._rows)),
+        "output": list(map(list, cert.output._rows)),
+        "left_factors": [list(map(list, f._rows)) for f in cert.left_factors],
+        "right_factors": [list(map(list, f._rows)) for f in cert.right_factors],
         "order": FACTOR_ORDER,
         "convention": CONVENTION,
         "zeta_variant": calibrated_zeta_variant(),
@@ -138,11 +147,11 @@ def parse_certificate_document(obj) -> ReductionCertificate:
         input=_gluing(_lists_to_matrix(obj["input"], "input"),
                       "input is not a gluing: ").matrix,
         left_factors=tuple(
-            _lists_to_matrix(f, f"left factor {i}")
+            _lists_to_matrix(f, "left factor", i)
             for i, f in enumerate(obj["left_factors"])
         ),
         right_factors=tuple(
-            _lists_to_matrix(f, f"right factor {i}")
+            _lists_to_matrix(f, "right factor", i)
             for i, f in enumerate(obj["right_factors"])
         ),
         output=_lists_to_matrix(obj["output"], "output"),

@@ -34,8 +34,8 @@ from .linalg import (
     _require_int,
     _Value,
     complete_primitive_to_sl3,
+    extended_gcd,
     inverse_unimodular,
-    sl2_carry_to_e1,
 )
 
 # The annotations name FgAbelianGroup, but abelian loads only when the first
@@ -61,10 +61,9 @@ class ReductionError(RuntimeError):
     """Kept for callers that catch it; the library no longer raises it."""
 
 
-# The meridian sign flip, the standard gluing N0, and the identity.
+# The meridian sign flip and the standard gluing N0.
 _FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
 _N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-_I3 = IntMatrix.identity(3)
 
 
 class GluingMatrix:
@@ -202,12 +201,12 @@ class ReductionCertificate(_Value):
 
 
 def _as_matrix(m) -> IntMatrix:
+    if isinstance(m, IntMatrix):
+        return m
     if isinstance(m, GluingMatrix):
         return m.matrix
     if isinstance(m, UnimodularMatrix):
         return m.m
-    if isinstance(m, IntMatrix):
-        return m
     return IntMatrix(m)
 
 
@@ -234,10 +233,13 @@ def is_extendable(m) -> bool:
     +1; the entries below the 2x2 torus block are unconstrained.
     """
     rows = _as_matrix(m)._rows
-    if len(rows) != 3 or len(rows[0]) != 3:
-        return False
+    return len(rows) == 3 and len(rows[0]) == 3 and _extendable(rows)
+
+
+def _extendable(rows) -> bool:
+    # is_extendable on the rows of a 3x3 matrix.  With third column
+    # (0, 0, 1) the determinant is that of the 2x2 block.
     (a, c, x), (b, d, y), (_, _, z) = rows
-    # With third column (0, 0, 1) the determinant is that of the 2x2 block.
     return x == 0 and y == 0 and z == 1 and a * d - c * b == 1
 
 
@@ -377,48 +379,41 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
 # --- constructive reduction with certificates ---------------------------
 
 
-def _embed_sl2_upper_left(u2: UnimodularMatrix) -> IntMatrix:
-    (a, c), (b, d) = u2.m._rows
-    return IntMatrix._trusted(((a, c, 0), (b, d, 0), (0, 0, 1)))
-
-
 def _reduce(m: GluingMatrix):
-    """The moves shared by both reductions: ``(left, right, output)``.
+    """The moves shared by both reductions: ``(left, right, block)``.
 
-    ``left`` is outermost first and ``output`` is the exact product.  The
-    carry has determinant x*g + y*h = 1 and the shears have third column
-    (0, 0, 1) and identity block, so every factor is extendable, and
-    ``output`` is [[a, c, 1], [b, d, 0], [0, 0, 1]] with ad - bc = 1.
+    ``left`` is outermost first, and the moves carry ``m`` to
+    [[a, c, 1], [b, d, 0], [0, 0, 1]] with ``block`` = (a, c, b, d) and
+    ad - bc = 1.  The carry has determinant x*g + y*h = 1 and the shears
+    have third column (0, 0, 1) and identity block, so every factor is
+    extendable.  Each move updates only the entries it changes; the tests
+    keep the product of the factors as an oracle.
     """
     if m.det != 1:
         raise OrientationError(
             "determinant is -1; apply normalize_to_sl3 before reducing"
         )
-    if math.gcd(m.g, m.h) != 1:
+    (a, c, g), (b, d, h), (e, f, k) = m.matrix._rows
+    gcd, x, y = extended_gcd(g, h)
+    if gcd != 1:
         raise NotHomologyHopfError(
-            f"gcd(g, h) = gcd({m.g}, {m.h}) = {math.gcd(m.g, m.h)} != 1: "
-            "not a homology Hopf gluing"
+            f"gcd(g, h) = gcd({g}, {h}) = {gcd} != 1: not a homology Hopf gluing"
         )
-    current = m.matrix
     left = []  # innermost first while building
-    carry = _embed_sl2_upper_left(sl2_carry_to_e1(m.g, m.h))
-    if carry != _I3:
-        current = carry @ current
-        left.append(carry)
-
-    k = current[2, 2]
-    if k != 1:
-        shear = IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (1 - k, 0, 1)))
-        current = shear @ current
-        left.append(shear)
-
+    # The carry changes rows 0-1 and takes column 2 to (1, 0, k).  It is the
+    # identity exactly for (g, h) = (1, 0), where extended_gcd gives (1, 0).
+    if g != 1 or h != 0:
+        left.append(IntMatrix._trusted(((x, y, 0), (-h, g, 0), (0, 0, 1))))
+        a, c, b, d = x * a + y * b, x * c + y * d, g * b - h * a, g * d - h * c
+    if k != 1:  # add (1 - k) times row 0 to row 2
+        left.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (1 - k, 0, 1))))
+        e, f = e + (1 - k) * a, f + (1 - k) * c
+    # Subtracting e and f times column 2, now (1, 0, 1), changes rows 0 and 2.
     right = []
-    e, f = current[2, 0], current[2, 1]
     if e != 0 or f != 0:
-        shear = IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (-e, -f, 1)))
-        current = current @ shear
-        right.append(shear)
-    return left[::-1], right, current
+        right.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (-e, -f, 1))))
+        a, c = a - e, c - f
+    return left[::-1], right, (a, c, b, d)
 
 
 def reduce_to_normal_form(m: GluingMatrix):
@@ -438,10 +433,9 @@ def reduce_to_normal_form(m: GluingMatrix):
     empty certificate.  It holds by construction (see ``_reduce``);
     ``verify``, ``selftest`` and the tests re-check it.
     """
-    left, right, output = _reduce(m)
-    (a, c, _), (b, d, _) = output._rows[:2]
-    cert = ReductionCertificate(m.matrix, left, right, output)
-    return NormalForm(IntMatrix._trusted(((a, c), (b, d)))), cert
+    left, right, (a, c, b, d) = _reduce(m)
+    nf = NormalForm(IntMatrix._trusted(((a, c), (b, d))))
+    return nf, ReductionCertificate(m.matrix, left, right, nf.matrix)
 
 
 def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
@@ -450,15 +444,13 @@ def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
     Appends one right factor to the normal-form moves, ``undo`` =
     [[d, -c, 0], [-b, a, 0], [0, 0, 1]]: its third column is (0, 0, 1) and
     its block has determinant 1, it turns the normal form into N0, and it
-    is omitted when it is the identity.  Nothing is re-checked here.
+    is omitted when it is the identity.  The output is N0 itself, with no
+    product taken; nothing is re-checked here.
     """
-    left, right, output = _reduce(m)
-    (a, c, _), (b, d, _) = output._rows[:2]
-    undo = IntMatrix._trusted(((d, -c, 0), (-b, a, 0), (0, 0, 1)))
-    if undo != _I3:
-        output = output @ undo
-        right.append(undo)
-    return ReductionCertificate(m.matrix, left, right, output)
+    left, right, (a, c, b, d) = _reduce(m)
+    if (a, c, b, d) != (1, 0, 0, 1):
+        right.append(IntMatrix._trusted(((d, -c, 0), (-b, a, 0), (0, 0, 1))))
+    return ReductionCertificate(m.matrix, left, right, _N0)
 
 
 def certificate_failure(cert: ReductionCertificate):
@@ -475,23 +467,28 @@ def certificate_failure(cert: ReductionCertificate):
                 mat = _as_matrix(f)
             except (ValueError, TypeError) as exc:
                 return f"malformed certificate: {side} factor {idx}: {exc}"
-            if (mat.rows, mat.cols) != (3, 3):
+            rows = mat._rows
+            if len(rows) != 3 or len(rows[0]) != 3:
                 return f"{side} factor {idx} is not 3x3"
-            if not is_extendable(mat):
+            if not _extendable(rows):
                 return f"{side} factor {idx} is not extendable"
             mats.append(mat)
     try:
         product = _as_matrix(cert.input)
-        if (product.rows, product.cols) != (3, 3):
-            return "input is not 3x3"
-        for f in reversed(left):
-            product = f @ product
-        for f in right:
-            product = product @ f
-        if product != _as_matrix(cert.output):
-            return "product identity fails"
     except (ValueError, TypeError) as exc:
-        return f"malformed certificate: {exc}"
+        return f"malformed certificate: input: {exc}"
+    if (product.rows, product.cols) != (3, 3):
+        return "input is not 3x3"
+    for f in reversed(left):
+        product = f @ product
+    for f in right:
+        product = product @ f
+    try:
+        output = _as_matrix(cert.output)
+    except (ValueError, TypeError) as exc:
+        return f"malformed certificate: output: {exc}"
+    if product != output:
+        return "product identity fails"
     return None
 
 

@@ -559,7 +559,8 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     The result is a product of ``word_length`` elementary row-addition
     matrices (and their inverses) drawn from ``random.Random(seed)``; the
     same seed always yields the same matrix, and ``word_length <= 0``
-    gives the identity.
+    gives the identity.  Both arguments must be int (a bool is not);
+    anything else raises TypeError.
 
     Stream contract: step by step the result equals the loop
 
@@ -575,6 +576,7 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     so ``getrandbits(2)`` called directly reads the same words in the
     same order.
     """
+    _require_int((seed, word_length), "seed and word_length")
     bits = random.Random(seed).getrandbits
     rows = list(_I3_ROWS)
     for _ in range(word_length):

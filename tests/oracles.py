@@ -1,13 +1,24 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here works on plain lists of lists and avoids the library's
-own elimination code paths, so the tests cross two genuinely different
-routes to the same values.
+Most of these work on plain lists of lists and avoid the library's own
+elimination code paths, so the tests cross two genuinely different routes
+to the same values.  The reduction and document-parse oracles at the end
+keep the library's earlier implementations, which the runtime replaced by
+cheaper routes to the same results.
 """
 
 import math
 import random
 from itertools import combinations, permutations
+
+from hopfglue.cli import DocumentError
+from hopfglue.gluing import (
+    NormalForm,
+    NotHomologyHopfError,
+    OrientationError,
+    ReductionCertificate,
+)
+from hopfglue.linalg import IntMatrix, sl2_carry_to_e1
 
 
 def naive_product(a, b):
@@ -131,3 +142,75 @@ def certificate_error(input_rows, left, right, output):
     if product != output:
         return f"product {product} != output {output}"
     return None
+
+
+def _product_reduce(m):
+    """The reduction moves applied as 3x3 products: (left, right, output).
+
+    Each move is built as a matrix and multiplied in with ``@``; identity
+    moves are left out.  ``left`` is outermost first.
+    """
+    if m.det != 1:
+        raise OrientationError(
+            "determinant is -1; apply normalize_to_sl3 before reducing"
+        )
+    if math.gcd(m.g, m.h) != 1:
+        raise NotHomologyHopfError(
+            f"gcd(g, h) = gcd({m.g}, {m.h}) = {math.gcd(m.g, m.h)} != 1: "
+            "not a homology Hopf gluing"
+        )
+    identity = IntMatrix.identity(3)
+    current = m.matrix
+    left = []  # innermost first while building
+    (x, y), (u, v) = sl2_carry_to_e1(m.g, m.h).m.to_lists()
+    carry = IntMatrix([[x, y, 0], [u, v, 0], [0, 0, 1]])
+    if carry != identity:
+        current = carry @ current
+        left.append(carry)
+    k = current[2, 2]
+    if k != 1:
+        shear = IntMatrix([[1, 0, 0], [0, 1, 0], [1 - k, 0, 1]])
+        current = shear @ current
+        left.append(shear)
+    right = []
+    e, f = current[2, 0], current[2, 1]
+    if e != 0 or f != 0:
+        shear = IntMatrix([[1, 0, 0], [0, 1, 0], [-e, -f, 1]])
+        current = current @ shear
+        right.append(shear)
+    return left[::-1], right, current
+
+
+def product_reduce_to_normal_form(m):
+    """reduce_to_normal_form(m) by products: (NormalForm, certificate)."""
+    left, right, output = _product_reduce(m)
+    (a, c, _), (b, d, _) = output.to_lists()[:2]
+    cert = ReductionCertificate(m.matrix, left, right, output)
+    return NormalForm(IntMatrix([[a, c], [b, d]])), cert
+
+
+def product_reduce_to_standard(m):
+    """reduce_to_standard(m) by products, ending with ``output @ undo``."""
+    left, right, output = _product_reduce(m)
+    (a, c, _), (b, d, _) = output.to_lists()[:2]
+    undo = IntMatrix([[d, -c, 0], [-b, a, 0], [0, 0, 1]])
+    if undo != IntMatrix.identity(3):
+        output = output @ undo
+        right.append(undo)
+    return ReductionCertificate(m.matrix, left, right, output)
+
+
+def lists_to_matrix(obj, what="matrix"):
+    """A certificate-document matrix as the CLI's first parser read it.
+
+    ``obj`` must be a list of three lists of three ints (bools are not
+    ints here); anything else raises DocumentError naming ``what``.
+    """
+    if (
+        not isinstance(obj, list)
+        or len(obj) != 3
+        or any(not isinstance(row, list) or len(row) != 3 for row in obj)
+        or any(not isinstance(x, int) or isinstance(x, bool) for row in obj for x in row)
+    ):
+        raise DocumentError(f"{what} must be a 3x3 array of integers")
+    return IntMatrix._trusted(tuple(map(tuple, obj)))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from hopfglue.abelian import FgAbelianGroup
 from hopfglue.cli import (
     CSV_HEADER,
+    DocumentError,
     OutputError,
+    _lists_to_matrix,
     _record_csv_row,
     _record_json_text,
     _summary_json_text,
@@ -35,6 +38,7 @@ from hopfglue.gluing import (
 )
 from hopfglue.linalg import IntMatrix, random_sl3
 from hopfglue.sweep import SweepRecord, SweepSpec, SweepSummary, count_skipped, summarize, sweep
+from oracles import lists_to_matrix as _first_lists_to_matrix
 from oracles import record_json as _record_json
 
 ZETA_ARG = "1,0,1,0,1,0,0,0,-1"
@@ -705,6 +709,62 @@ def test_certificate_document_roundtrip():
     _, cert = reduce_to_normal_form(m)
     doc = certificate_document(cert)
     assert parse_certificate_document(json.loads(json.dumps(doc))) == cert
+
+
+class _Entry(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Rows(list):
+    pass
+
+
+def _sequences(items, min_size=2, max_size=4):
+    """Lists, tuples and list subclasses of ``items``."""
+    return st.lists(items, min_size=min_size, max_size=max_size).flatmap(
+        lambda xs: st.sampled_from([xs, tuple(xs), _Rows(xs)]))
+
+
+_json_leaf = st.one_of(
+    st.integers(-9, 9), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+    st.none(), st.just(_Entry.SEVEN),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+_entry = st.one_of(st.integers(-(10**30), 10**30), st.just(_Entry.SEVEN))
+_int_rows = st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+def _with_entry(rows, i, leaf):
+    rows[i // 3][i % 3] = leaf
+    return rows
+
+
+_matrix_like = st.one_of(
+    _sequences(_sequences(_entry, 3, 3), 3, 3),  # valid unless a tuple stands in
+    st.builds(_with_entry, _int_rows, st.integers(0, 8), _json_leaf),
+    _sequences(_sequences(st.one_of(_entry, _json_leaf))),  # ragged or mixed
+    _sequences(_json_leaf),
+    _json_leaf,
+)
+
+
+def _parsed(parse, *args):
+    """The matrix parse returns, with its row and entry types, or its message."""
+    try:
+        m = parse(*args)
+    except DocumentError as exc:
+        return str(exc)
+    return m, type(m._rows), [(type(row), [type(x) for x in row]) for row in m._rows]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=_matrix_like, label=st.sampled_from(
+    [("matrix", None), ("input", None), ("left factor", 0), ("right factor", 12)]))
+def test_matrix_parse_matches_the_first_parser(obj, label):
+    what, index = label
+    first_what = what if index is None else f"{what} {index}"
+    assert (_parsed(_lists_to_matrix, obj, what, index)
+            == _parsed(_first_lists_to_matrix, obj, first_what))
 
 
 # --- fuzzing main() ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every unimodular 3x3 matrix with entries in {-1, 0, 1} either has
 coprime meridian data, and then both reductions produce certificates that
-the nested-list oracles accept, or it is rejected as not homology Hopf.
+the nested-list oracles accept and that equal the product-based
+reductions, or it is rejected as not homology Hopf.
 Every pair of primitive triples in [-2, 2]^3 composes to a gluing whose
 gcd(g, h) is the gcd of the 2-minors of the two surgery relations.
 """
@@ -23,7 +24,13 @@ from hopfglue.gluing import (
     reduce_to_standard,
 )
 from hopfglue.linalg import IntMatrix
-from oracles import certificate_error, leibniz_det, minors_gcd
+from oracles import (
+    certificate_error,
+    leibniz_det,
+    minors_gcd,
+    product_reduce_to_normal_form,
+    product_reduce_to_standard,
+)
 
 N0 = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
@@ -58,6 +65,8 @@ def test_every_unimodular_matrix_of_the_unit_box_reduces_or_is_rejected():
         hopf += 1
         nf, cert = reduce_to_normal_form(m)
         std = reduce_to_standard(m)
+        assert (nf, cert) == product_reduce_to_normal_form(m)
+        assert std == product_reduce_to_standard(m)
         for certificate in (cert, std):
             parts = _cert_lists(certificate)
             assert parts[0] == expected

@@ -42,6 +42,7 @@ from hopfglue.linalg import (
 )
 from hopfglue.selftest import _random_primitive_triple
 
+from oracles import product_reduce_to_normal_form, product_reduce_to_standard
 from test_acceptance import _criterion_pairs
 
 
@@ -444,6 +445,35 @@ def test_standard_random_inputs():
         assert cert.output == standard_gluing_matrix().matrix
 
 
+def _outcome(reduce, m):
+    """reduce(m), or the type and message of the error it raises."""
+    try:
+        return reduce(m)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_MERIDIAN_FLIP = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+
+
+@pytest.mark.parametrize("word_length", [12, 48, 192])
+def test_closed_form_reductions_match_the_product_oracle(word_length):
+    hopf = 0
+    for seed in range(300):
+        m = random_sl3(seed, word_length).m
+        # Flipping the meridian on the left gives determinant -1, which
+        # normalize_to_sl3 repairs on the right: another det +1 gluing.
+        flipped = GluingMatrix(_MERIDIAN_FLIP @ m)
+        assert flipped.det == -1
+        for gm in (GluingMatrix(m), flipped, normalize_to_sl3(flipped)):
+            hopf += gm.det == 1 and is_homology_hopf(gm)
+            assert (_outcome(reduce_to_normal_form, gm)
+                    == _outcome(product_reduce_to_normal_form, gm))
+            assert (_outcome(reduce_to_standard, gm)
+                    == _outcome(product_reduce_to_standard, gm))
+    assert hopf > 100
+
+
 # --- certificate checking ---------------------------------------------------------------
 
 
@@ -553,6 +583,32 @@ def test_params_reject_bool_entries(a, b, p):
 def test_certificate_failure_names_a_bad_factor(left, right, reason):
     m = IntMatrix.identity(3)
     cert = ReductionCertificate(input=m, left_factors=left, right_factors=right, output=m)
+    assert certificate_failure(cert) == reason
+    assert not verify_certificate(cert)
+
+
+_RAGGED = [[1, 0, 0], [0, 1], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("input, output, reason", [
+    (_RAGGED, IntMatrix.identity(3),
+     "malformed certificate: input: all rows must have the same length"),
+    (IntMatrix.identity(3), _RAGGED,
+     "malformed certificate: output: all rows must have the same length"),
+    (None, IntMatrix.identity(3),
+     "malformed certificate: input: 'NoneType' object is not iterable"),
+    (IntMatrix.identity(3), None,
+     "malformed certificate: output: 'NoneType' object is not iterable"),
+    (IntMatrix.identity(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1.0]],
+     "malformed certificate: output: entries must be int, got float"),
+    ([], IntMatrix.identity(3),
+     "malformed certificate: input: matrix needs at least one row and one column"),
+    ([[1, 0], [0, 1]], None, "input is not 3x3"),
+], ids=["ragged-input", "ragged-output", "none-input", "none-output",
+        "float-output", "empty-input", "input-shape-first"])
+def test_certificate_failure_names_a_malformed_input_or_output(input, output, reason):
+    cert = ReductionCertificate(input=input, left_factors=(IntMatrix.identity(3),),
+                                output=output)
     assert certificate_failure(cert) == reason
     assert not verify_certificate(cert)
 

@@ -394,6 +394,15 @@ def test_random_sl3_empty_word():
     assert random_sl3(0, 0).m == IntMatrix.identity(3)
 
 
+@pytest.mark.parametrize("seed, word_length, kind", [
+    (0, True, "bool"), (True, 3, "bool"), (0, False, "bool"),
+    (1.0, 3, "float"), (0, 3.0, "float"), ("0", 3, "str"), (None, 3, "NoneType"),
+])
+def test_random_sl3_rejects_non_int_arguments(seed, word_length, kind):
+    with pytest.raises(TypeError, match=f"seed and word_length must be int, got {kind}$"):
+        random_sl3(seed, word_length)
+
+
 def test_random_sl3_always_det_one():
     for seed in range(1000):
         assert random_sl3(seed, 10).det == 1
