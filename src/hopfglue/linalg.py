@@ -560,7 +560,12 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     matrices (and their inverses) drawn from ``random.Random(seed)``; the
     same seed always yields the same matrix, and ``word_length <= 0``
     gives the identity.  Both arguments must be int (a bool is not);
-    anything else raises TypeError.
+    anything else raises TypeError.  CPython seeds ``random.Random`` with
+    ``abs(seed)``, so ``random_sl3(-s, L) == random_sl3(s, L)``: a matrix
+    sweep, whose sample ``i`` has seed ``seed + i``, repeats matrices
+    once its seeds cross zero (``hopfglue sweep --random N --seed -k``
+    with ``0 < k < N - 1`` gives samples ``k - j`` and ``k + j`` the same
+    matrix).
 
     Stream contract: step by step the result equals the loop
 

@@ -10,9 +10,12 @@ sample index), so two runs of the same spec produce identical results.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import attrgetter
 
+from . import gluing
 from .abelian import FgAbelianGroup
 from .gluing import group_of_mu
 from .linalg import IntMatrix, _require_int, _Value, random_sl3
@@ -26,6 +29,8 @@ class SweepSpecError(ValueError):
 
 
 def _check_range(name, r):
+    if len(r) != 2:
+        raise SweepSpecError(f"range for {name} must be a (lo, hi) pair, got {r!r}")
     lo, hi = r
     if lo > hi:
         raise SweepSpecError(f"empty range for {name}: {lo}:{hi}")
@@ -96,7 +101,11 @@ class SweepRecord:
     """One evaluated cell: its parameters or matrix, and its invariants.
 
     ``mu`` is the torsion order of the fundamental group, with 0 encoding
-    the rank-2 case; ``homology_hopf`` is equivalent to ``mu == 1``.
+    the rank-2 case; ``homology_hopf`` is equivalent to ``mu == 1``, which
+    every record the library builds keeps and ``summarize`` relies on.
+    ``group`` equals ``gluing.group_of_mu(mu)``, and is that shared instance
+    while the bounded group cache holds it: a tuple sweep reads the cache
+    once per cell and builds a group only on a miss.
     """
 
     mu: int
@@ -167,12 +176,19 @@ _MINUS_HELD = 1 << 16
 
 
 def _tuple_records(spec: SweepSpec):
-    """The records of a tuple sweep, built inline one plus triple at a time."""
+    """The records of a tuple sweep, built inline one plus triple at a time.
+
+    Each cell reads its group from ``gluing._GROUPS`` with one ``dict.get``
+    and calls ``group_of_mu`` only on a miss, so that function stays the
+    only writer of the bounded cache.  The dict is looked up through the
+    module once per sweep, so a rebound cache is seen by the next sweep.
+    """
     ranges = (spec.c_range, spec.d_range, spec.q_range)
     held = tuple(islice(_primitive_triples(*ranges), _MINUS_HELD + 1))
     if len(held) > _MINUS_HELD:
         held = None
     gcd = math.gcd
+    cached = gluing._GROUPS.get
     new = object.__new__
     for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
         a, b, p = tp
@@ -186,7 +202,8 @@ def _tuple_records(spec: SweepSpec):
             rd = r.__dict__
             rd["mu"] = mu
             rd["homology_hopf"] = mu == 1
-            rd["group"] = group_of_mu(mu)
+            g = cached(mu)
+            rd["group"] = g if g is not None else group_of_mu(mu)
             rd["params"] = tp + tm
             rd["matrix"] = None
             yield r
@@ -228,18 +245,14 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
 def summarize(records) -> SweepSummary:
     """Exact counts: total, homology-Hopf cells, and a histogram by mu.
 
-    ``records`` may be any iterable of records, such as ``iter_sweep(spec)``.
+    ``records`` may be any iterable of records, such as ``iter_sweep(spec)``;
+    it is read once, in a single C-level pass that keeps one count per
+    distinct mu.  The homology-Hopf count is the count of ``mu == 1``, by
+    the ``SweepRecord`` rule that ``homology_hopf`` is ``mu == 1``.
     """
-    counts = {}
-    hopf = 0
-    total = 0
-    for r in records:
-        counts[r.mu] = counts.get(r.mu, 0) + 1
-        if r.homology_hopf:
-            hopf += 1
-        total += 1
+    counts = Counter(map(attrgetter("mu"), records))
     return SweepSummary(
-        total=total,
-        homology_hopf_count=hopf,
+        total=counts.total(),
+        homology_hopf_count=counts[1],
         mu_counts=tuple(sorted(counts.items())),
     )

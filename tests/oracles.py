@@ -19,6 +19,7 @@ from hopfglue.gluing import (
     ReductionCertificate,
 )
 from hopfglue.linalg import IntMatrix, sl2_carry_to_e1
+from hopfglue.sweep import SweepSummary
 
 
 def naive_product(a, b):
@@ -214,3 +215,24 @@ def lists_to_matrix(obj, what="matrix"):
     ):
         raise DocumentError(f"{what} must be a 3x3 array of integers")
     return IntMatrix._trusted(tuple(map(tuple, obj)))
+
+
+def loop_summarize(records):
+    """``sweep.summarize`` as a bytecode loop that reads each record's flag.
+
+    It counts homology-Hopf cells by ``r.homology_hopf``, not by ``mu == 1``,
+    so it also checks the rule the library's one-pass summary relies on.
+    """
+    counts = {}
+    hopf = 0
+    total = 0
+    for r in records:
+        counts[r.mu] = counts.get(r.mu, 0) + 1
+        if r.homology_hopf:
+            hopf += 1
+        total += 1
+    return SweepSummary(
+        total=total,
+        homology_hopf_count=hopf,
+        mu_counts=tuple(sorted(counts.items())),
+    )

@@ -413,6 +413,14 @@ def test_random_sl3_deterministic():
         assert random_sl3(seed, 20) == random_sl3(seed, 20)
 
 
+def test_random_sl3_negative_seed_repeats_its_absolute_value():
+    # CPython seeds random.Random with abs(seed); the docstring says so.
+    for seed in (1, 5, 2**64 + 7):
+        for word_length in (12, 48, 192):
+            assert random_sl3(-seed, word_length) == random_sl3(seed, word_length)
+    assert random_sl3(-5, 12) != random_sl3(4, 12)
+
+
 #: sha256 of the first 1,000 (seed, matrix) pairs at word lengths 12, 48
 #: and 192, recorded from the original rng.sample/rng.choice loop.
 RANDOM_SL3_STREAM_SHA256 = (

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from oracles import loop_summarize
 
 from hopfglue import gluing
 from hopfglue.abelian import FgAbelianGroup, Presentation, group_from_presentation, torsion_order
@@ -16,6 +17,7 @@ from hopfglue.sweep import (
     SweepRecord,
     SweepSpec,
     SweepSpecError,
+    SweepSummary,
     count_skipped,
     iter_sweep,
     summarize,
@@ -104,6 +106,13 @@ def test_matrix_mode_records_carry_matrices():
         assert (r.matrix.rows, r.matrix.cols) == (3, 3)
 
 
+def test_matrix_sweep_from_a_negative_seed_repeats_mirrored_samples():
+    # Sample i has seed -2 + i, and seeds -s and s give one matrix.
+    matrices = [r.matrix for r in sweep(SweepSpec.matrices(6, seed=-2))]
+    assert matrices[0] == matrices[4] and matrices[1] == matrices[3]
+    assert len(set(map(str, matrices))) == 4
+
+
 def test_summarize_counts():
     assert summarize([]) == summarize([])
     s = summarize([])
@@ -136,12 +145,27 @@ def test_invalid_specs_raise():
     lambda: SweepSpec.tuples(a=(0, 1), b=(0, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0.5, 2)),
     lambda: SweepSpec.tuples(a=(0, 1), b=(False, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0, 2)),
     lambda: SweepSpec(mode="matrix", sample_count=3, a_range=(0, 1.5)),
+    lambda: SweepSpec.tuples(a=(0, 1.0, 2), b=(0, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0, 2)),
 ], ids=["count-float", "count-and-seed-bool", "seed-float", "word-length-float",
         "word-length-bool", "a-end-float", "q-start-float", "b-start-bool",
-        "unused-range-float"])
+        "unused-range-float", "a-triple-float"])
 def test_spec_rejects_non_int_values(make):
     with pytest.raises(TypeError, match="must be int"):
         make()
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("a", (1, 2, 3)),
+    ("a", (1,)),
+    ("a", ()),
+    ("q", (0, 1, 2, 3)),
+    ("d", [5]),
+], ids=["a-triple", "a-single", "a-empty", "q-four", "d-list-single"])
+def test_spec_rejects_a_range_that_is_not_a_pair(name, bad):
+    ranges = dict(a=(1, 1), b=(0, 0), p=(0, 2), c=(1, 1), d=(0, 0), q=(0, 2))
+    ranges[name] = bad
+    with pytest.raises(SweepSpecError, match=f"range for {name} must be a"):
+        SweepSpec.tuples(**ranges)
 
 
 # Both halves vary and both hold non-primitive triples: zero directions,
@@ -303,6 +327,98 @@ def test_unchecked_records_stay_frozen_dataclasses():
         r.mu = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.group.rank = 0
+
+
+# --- the one-pass summary -----------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
+def test_summary_matches_the_loop_oracle(spec):
+    records = sweep(spec)
+    assert summarize(records) == loop_summarize(records)
+    assert summarize(iter_sweep(spec)) == loop_summarize(iter_sweep(spec))
+
+
+def test_summary_of_no_records_matches_the_loop_oracle():
+    assert summarize([]) == loop_summarize([]) == SweepSummary(0, 0, ())
+    assert summarize(iter([])) == loop_summarize(iter([]))
+
+
+def test_homology_hopf_count_counts_the_records_with_mu_one():
+    records = sweep(BOX)
+    s = summarize(records)
+    assert 0 < s.homology_hopf_count < s.total
+    assert s.homology_hopf_count == sum(1 for r in records if r.mu == 1)
+    # The count follows mu, the documented rule, not the record's flag.
+    flipped = [dataclasses.replace(r, homology_hopf=not r.homology_hopf) for r in records]
+    assert summarize(flipped) == s
+
+
+# --- one group-cache read per cell ---------------------------------------------
+
+
+def assert_records_share_the_cached_groups(records):
+    for r in records:
+        public = public_copy(r)
+        assert r == public and repr(r) == repr(public)
+        assert r.group is gluing.group_of_mu(r.mu)
+
+
+#: A tuple sweep in a fresh interpreter, whose group cache starts empty.
+_FRESH_CACHE_PROBE = """
+import dataclasses
+from hopfglue import gluing
+from hopfglue.abelian import FgAbelianGroup
+from hopfglue.sweep import SweepRecord, SweepSpec, sweep
+assert gluing._GROUPS == {}
+records = sweep(SweepSpec.tuples(a=(-2, 2), b=(0, 2), p=(-1, 3), c=(0, 4), d=(-2, 0), q=(2, 2)))
+for r in records:
+    group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
+    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(SweepRecord)}
+    public = SweepRecord(**dict(fields, group=group))
+    assert r == public and repr(r) == repr(public)
+    assert r.group is gluing.group_of_mu(r.mu)
+print(len(records), sorted(gluing._GROUPS))
+"""
+
+
+def test_sweep_groups_from_an_empty_cache_in_a_fresh_interpreter():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CACHE_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    records = sweep(ASYMMETRIC_SPECS[0])
+    mus = sorted({0, 1} | {r.mu for r in records})
+    assert proc.stdout == f"{len(records)} {mus}\n"
+
+
+def test_sweep_reads_a_rebound_cache(monkeypatch):
+    spec = ASYMMETRIC_SPECS[2]
+    monkeypatch.setattr(gluing, "_GROUPS", {})
+    before = sweep(spec)
+    assert_records_share_the_cached_groups(before)
+    monkeypatch.setattr(gluing, "_GROUPS", {})
+    after = sweep(spec)
+    assert after == before
+    assert all(a.group is not b.group for a, b in zip(after, before))
+    assert_records_share_the_cached_groups(after)
+    assert set(gluing._GROUPS) == {0, 1} | {r.mu for r in after}
+
+
+def test_sweep_past_a_lowered_cache_bound(monkeypatch):
+    fresh = {mu: g for mu, g in gluing._GROUPS.items() if mu < 2}
+    monkeypatch.setattr(gluing, "_GROUPS", fresh)
+    monkeypatch.setattr(gluing, "_GROUPS_MAX", 4)
+    records = sweep(ASYMMETRIC_SPECS[0])
+    assert len({r.mu for r in records}) > 4
+    kept = [r for r in records if r.mu in fresh]
+    assert kept and len(kept) < len(records)
+    assert_records_share_the_cached_groups(kept)
+    for r in records:
+        if r.mu not in fresh:
+            assert r == public_copy(r)
+            assert r.group == gluing.group_of_mu(r.mu) and r.group is not gluing.group_of_mu(r.mu)
+    assert len(fresh) == 4
 
 
 # --- the inline tuple loop -----------------------------------------------------
