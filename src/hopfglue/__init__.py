@@ -17,149 +17,70 @@ A command-line interface lives in :mod:`hopfglue.cli` (installed as the
 ``hopfglue`` script).
 
 Importing the package loads :mod:`hopfglue.linalg` and
-:mod:`hopfglue.gluing`.  The names exported here from
-:mod:`hopfglue.abelian` and :mod:`hopfglue.sweep` load their module on
-first access (PEP 562), and so does building the first group, so
-``reduce`` and ``verify``, which build none, import neither.  The
-function ``hopfglue.sweep`` shares its name with that submodule, and
-stays the function after the submodule is imported.
+:mod:`hopfglue.gluing`.  Every exported name is listed once, under its
+submodule, in ``_EXPORTS``, and is bound on first access (PEP 562)
+together with the other names of that submodule.  The names from
+:mod:`hopfglue.abelian` and :mod:`hopfglue.sweep` import their module
+then, and so does building the first group, so ``reduce`` and
+``verify``, which build none, import neither.  The function
+``hopfglue.sweep`` shares its name with that submodule, and stays the
+function after the submodule is imported.
 """
 
 import sys
 import types
 from importlib import import_module
 
-from .gluing import (
-    CONVENTION,
-    GluingMatrix,
-    LogTransformParams,
-    NormalForm,
-    NotHomologyHopfError,
-    OrientationError,
-    ReductionCertificate,
-    ReductionError,
-    calibrated_zeta_variant,
-    certificate_failure,
-    compose_two_fiber,
-    framing_block,
-    is_extendable,
-    is_homology_hopf,
-    normalize_to_sl3,
-    pi1_single_gluing,
-    pi1_two_log_transforms,
-    random_completion,
-    reduce_to_normal_form,
-    reduce_to_standard,
-    standard_gluing_matrix,
-    verify_certificate,
-    zeta_matrix,
-)
-from .linalg import (
-    IntMatrix,
-    NotPrimitiveError,
-    NotUnimodularError,
-    ShapeError,
-    SnfResult,
-    UnimodularMatrix,
-    complete_primitive_to_sl3,
-    determinant,
-    extended_gcd,
-    gcd_of_k_minors,
-    inverse_unimodular,
-    multiply,
-    random_sl3,
-    sl2_carry_to_e1,
-    smith_normal_form,
-)
+from . import gluing, linalg
 
-#: The exported names loaded on first access, each with its submodule.
-_LAZY = {
-    "FgAbelianGroup": "abelian",
-    "Presentation": "abelian",
-    "group_from_presentation": "abelian",
-    "is_isomorphic": "abelian",
-    "torsion_order": "abelian",
-    "SweepRecord": "sweep",
-    "SweepSpec": "sweep",
-    "SweepSpecError": "sweep",
-    "SweepSummary": "sweep",
-    "count_skipped": "sweep",
-    "iter_sweep": "sweep",
-    "summarize": "sweep",
-    "sweep": "sweep",
+#: Each submodule with the names the package exports from it.
+_EXPORTS = {
+    "linalg": (
+        "IntMatrix", "NotPrimitiveError", "NotUnimodularError", "ShapeError",
+        "SnfResult", "UnimodularMatrix", "complete_primitive_to_sl3",
+        "determinant", "extended_gcd", "gcd_of_k_minors", "inverse_unimodular",
+        "multiply", "random_sl3", "sl2_carry_to_e1", "smith_normal_form",
+    ),
+    "gluing": (
+        "CONVENTION", "GluingMatrix", "LogTransformParams", "NormalForm",
+        "NotHomologyHopfError", "OrientationError", "ReductionCertificate",
+        "ReductionError", "calibrated_zeta_variant", "certificate_failure",
+        "compose_two_fiber", "framing_block", "is_extendable",
+        "is_homology_hopf", "normalize_to_sl3", "pi1_single_gluing",
+        "pi1_two_log_transforms", "random_completion", "reduce_to_normal_form",
+        "reduce_to_standard", "standard_gluing_matrix", "verify_certificate",
+        "zeta_matrix",
+    ),
+    "abelian": (
+        "FgAbelianGroup", "Presentation", "group_from_presentation",
+        "is_isomorphic", "torsion_order",
+    ),
+    "sweep": (
+        "SweepRecord", "SweepSpec", "SweepSpecError", "SweepSummary",
+        "count_skipped", "iter_sweep", "summarize", "sweep",
+    ),
 }
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVENTION",
-    "FgAbelianGroup",
-    "GluingMatrix",
-    "IntMatrix",
-    "LogTransformParams",
-    "NormalForm",
-    "NotHomologyHopfError",
-    "NotPrimitiveError",
-    "NotUnimodularError",
-    "OrientationError",
-    "Presentation",
-    "ReductionCertificate",
-    "ReductionError",
-    "ShapeError",
-    "SnfResult",
-    "SweepRecord",
-    "SweepSpec",
-    "SweepSpecError",
-    "SweepSummary",
-    "UnimodularMatrix",
-    "calibrated_zeta_variant",
-    "certificate_failure",
-    "complete_primitive_to_sl3",
-    "compose_two_fiber",
-    "count_skipped",
-    "determinant",
-    "extended_gcd",
-    "framing_block",
-    "gcd_of_k_minors",
-    "group_from_presentation",
-    "inverse_unimodular",
-    "is_extendable",
-    "is_homology_hopf",
-    "is_isomorphic",
-    "iter_sweep",
-    "multiply",
-    "normalize_to_sl3",
-    "pi1_single_gluing",
-    "pi1_two_log_transforms",
-    "random_completion",
-    "random_sl3",
-    "reduce_to_normal_form",
-    "reduce_to_standard",
-    "sl2_carry_to_e1",
-    "smith_normal_form",
-    "standard_gluing_matrix",
-    "summarize",
-    "sweep",
-    "torsion_order",
-    "verify_certificate",
-    "zeta_matrix",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    submodule = _LAZY.get(name)
+    submodule = _MODULE_OF.get(name)
     if submodule is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module("." + submodule, __name__)
     names = globals()
-    for n, m in _LAZY.items():
-        if m == submodule:
-            names[n] = getattr(module, n)
+    for n in _EXPORTS[submodule]:
+        names[n] = getattr(module, n)
     return names[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_MODULE_OF))
 
 
 class _Package(types.ModuleType):

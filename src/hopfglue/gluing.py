@@ -369,6 +369,7 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
     what is computed here; the tests keep the Smith normal form route
     (group_from_presentation) as an independent oracle.
     """
+    _require_int((a, b, p, c, d, q), "a, b, p, c, d and q")
     if math.gcd(a, b, p) != 1:
         raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
     if math.gcd(c, d, q) != 1:

@@ -338,6 +338,7 @@ def extended_gcd(a: int, b: int) -> tuple:
     recursion on ``|a|, |b|`` (signs folded back in), so they are
     reproducible and have the usual small magnitudes.
     """
+    _require_int((a, b), "a and b")
     if a == 0 and b == 0:
         return (0, 0, 0)
     g, x, y = _egcd(abs(a), abs(b))

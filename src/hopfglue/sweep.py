@@ -68,12 +68,10 @@ class SweepSpec:
              self.sample_count, self.seed, self.word_length),
             "range ends, sample_count, seed and word_length",
         )
-        if self.mode == TUPLE_MODE:
-            for name, r in zip(names, ranges):
-                object.__setattr__(self, name + "_range", _check_range(name, r))
-        else:
-            if self.sample_count < 0:
-                raise SweepSpecError("sample_count must be >= 0")
+        for name, r in zip(names, ranges):
+            object.__setattr__(self, name + "_range", _check_range(name, r))
+        if self.sample_count < 0:
+            raise SweepSpecError("sample_count must be >= 0")
 
     @classmethod
     def tuples(cls, a, b, p, c, d, q, homology_hopf_only=False):

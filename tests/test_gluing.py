@@ -571,6 +571,15 @@ def test_params_reject_bool_entries(a, b, p):
         LogTransformParams(a, b, p, completion=completion)
 
 
+@pytest.mark.parametrize("kind, bad", [("float", 1.0), ("bool", True)])
+@pytest.mark.parametrize("position", range(6), ids="abpcdq")
+def test_pi1_two_log_transforms_rejects_non_int_entries(position, kind, bad):
+    args = [1, 0, 1, 1, 0, 1]
+    args[position] = bad
+    with pytest.raises(TypeError, match=f"a, b, p, c, d and q must be int, got {kind}$"):
+        pi1_two_log_transforms(*args)
+
+
 @pytest.mark.parametrize("left, right, reason", [
     ((IntMatrix([[1, 0, 0], [0, 1, 0]]),), (), "left factor 0 is not 3x3"),
     (([[1, 0, 0], [0, 1], [0, 0, 1]],), (),

@@ -157,6 +157,14 @@ def test_extended_gcd_bezout_identity():
         assert x * a + y * b == g
 
 
+@pytest.mark.parametrize("a, b, kind", [
+    (1.5, 2, "float"), (1, 2.0, "float"), (True, 2, "bool"), (1, False, "bool"),
+], ids=["a-float", "b-float", "a-bool", "b-bool"])
+def test_extended_gcd_rejects_non_int_arguments(a, b, kind):
+    with pytest.raises(TypeError, match=f"a and b must be int, got {kind}$"):
+        extended_gcd(a, b)
+
+
 # --- Smith normal form ------------------------------------------------------
 
 

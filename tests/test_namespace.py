@@ -123,3 +123,52 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hopfglue.no_such_name
     assert not hasattr(hopfglue, "SweepSpecs")
+
+
+# Each exported name with the submodule that defines it, in ``__all__`` order.
+EXPORTED = [
+    ("CONVENTION", "gluing"), ("FgAbelianGroup", "abelian"),
+    ("GluingMatrix", "gluing"), ("IntMatrix", "linalg"),
+    ("LogTransformParams", "gluing"), ("NormalForm", "gluing"),
+    ("NotHomologyHopfError", "gluing"), ("NotPrimitiveError", "linalg"),
+    ("NotUnimodularError", "linalg"), ("OrientationError", "gluing"),
+    ("Presentation", "abelian"), ("ReductionCertificate", "gluing"),
+    ("ReductionError", "gluing"), ("ShapeError", "linalg"), ("SnfResult", "linalg"),
+    ("SweepRecord", "sweep"), ("SweepSpec", "sweep"), ("SweepSpecError", "sweep"),
+    ("SweepSummary", "sweep"), ("UnimodularMatrix", "linalg"),
+    ("calibrated_zeta_variant", "gluing"), ("certificate_failure", "gluing"),
+    ("complete_primitive_to_sl3", "linalg"), ("compose_two_fiber", "gluing"),
+    ("count_skipped", "sweep"), ("determinant", "linalg"), ("extended_gcd", "linalg"),
+    ("framing_block", "gluing"), ("gcd_of_k_minors", "linalg"),
+    ("group_from_presentation", "abelian"), ("inverse_unimodular", "linalg"),
+    ("is_extendable", "gluing"), ("is_homology_hopf", "gluing"),
+    ("is_isomorphic", "abelian"), ("iter_sweep", "sweep"), ("multiply", "linalg"),
+    ("normalize_to_sl3", "gluing"), ("pi1_single_gluing", "gluing"),
+    ("pi1_two_log_transforms", "gluing"), ("random_completion", "gluing"),
+    ("random_sl3", "linalg"), ("reduce_to_normal_form", "gluing"),
+    ("reduce_to_standard", "gluing"), ("sl2_carry_to_e1", "linalg"),
+    ("smith_normal_form", "linalg"), ("standard_gluing_matrix", "gluing"),
+    ("summarize", "sweep"), ("sweep", "sweep"), ("torsion_order", "abelian"),
+    ("verify_certificate", "gluing"), ("zeta_matrix", "gluing"),
+]
+
+
+def test_all_is_the_export_list_and_each_name_is_the_defining_object():
+    probe = f"""
+import sys, hopfglue
+exported = {EXPORTED!r}
+assert hopfglue.__all__ == [name for name, _ in exported], hopfglue.__all__
+for name, module in exported:
+    served = getattr(hopfglue, name)
+    assert served is getattr(sys.modules["hopfglue." + module], name), name
+print(len(hopfglue.__all__))
+"""
+    assert _run(probe) == "51\n"
+
+
+def test_importing_the_package_loads_exactly_gluing_and_linalg():
+    probe = """
+import sys, hopfglue
+print(sorted(m for m in sys.modules if m.split(".")[0] == "hopfglue"))
+"""
+    assert _run(probe) == "['hopfglue', 'hopfglue.gluing', 'hopfglue.linalg']\n"

@@ -168,6 +168,24 @@ def test_spec_rejects_a_range_that_is_not_a_pair(name, bad):
         SweepSpec.tuples(**ranges)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SweepSpec(mode="matrix", sample_count=1, a_range=(5,)),
+     "range for a must be a"),
+    (lambda: SweepSpec(mode="matrix", sample_count=1, a_range=(3, 1)),
+     "empty range for a: 3:1"),
+    (lambda: SweepSpec(sample_count=-3), "sample_count must be >= 0"),
+], ids=["matrix-single-range", "matrix-reversed-range", "tuple-negative-count"])
+def test_spec_checks_every_field_in_both_modes(make, message):
+    with pytest.raises(SweepSpecError, match=message):
+        make()
+
+
+def test_matrix_spec_stores_a_list_range_as_a_hashable_pair():
+    spec = SweepSpec(mode="matrix", sample_count=1, d_range=[5, 6])
+    assert spec.d_range == (5, 6)
+    assert hash(spec) == hash(SweepSpec(mode="matrix", sample_count=1, d_range=(5, 6)))
+
+
 # Both halves vary and both hold non-primitive triples: zero directions,
 # gcd-2 and gcd-3 directions, and multiplicities sharing their factors.
 ASYMMETRIC_SPECS = [
