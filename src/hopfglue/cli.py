@@ -11,12 +11,22 @@ JSON is always emitted with sorted keys and two-space indentation, so
 identical inputs produce byte-identical output.  A result holding an
 integer too long for the interpreter's int/str conversion limit is a
 validation failure (exit 2), not a crash.
+
+Each process loads only what its command uses.  ``classify`` and
+``compose`` report the group Z + Z/mu from the integer mu, so they never
+import ``hopfglue.abelian`` (nor the ``dataclasses`` and ``inspect`` it
+pulls in); ``compose`` checks its two routes by comparing their mus.  When
+the first argument names a command, only that command's subparser is
+built.  ``json`` is imported only to read a document or to print a
+classify, compose or reduce report; sweeps format their JSON and CSV
+directly.  A sweep writes its header at once and then its rows in chunks
+of about a thousand, since under ``PYTHONUNBUFFERED`` every write is a
+system call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,25 +37,17 @@ from .gluing import (
     LogTransformParams,
     NotHomologyHopfError,
     ReductionCertificate,
+    _checked_two_log_mu,
+    _rank_and_factors,
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
     is_homology_hopf,
     normalize_to_sl3,
-    pi1_single_gluing,
-    pi1_two_log_transforms,
     reduce_to_normal_form,
     reduce_to_standard,
 )
 from .linalg import IntMatrix, NotUnimodularError
-
-# The annotations name FgAbelianGroup, but abelian loads only for the
-# commands that build a group.  Type checkers read TYPE_CHECKING as true;
-# taking it from typing would import typing, which the CLI otherwise never
-# loads.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .abelian import FgAbelianGroup
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -158,8 +160,10 @@ def parse_certificate_document(obj) -> ReductionCertificate:
     )
 
 
-def _group_report(g: FgAbelianGroup) -> dict:
-    return {"rank": g.rank, "invariant_factors": list(g.invariant_factors)}
+def _group_report(mu: int) -> dict:
+    """The report of the group Z + Z/mu, built without building the group."""
+    rank, factors = _rank_and_factors(mu)
+    return {"rank": rank, "invariant_factors": list(factors)}
 
 
 def _gluing_report(gm: GluingMatrix) -> dict:
@@ -176,6 +180,8 @@ def _gluing_report(gm: GluingMatrix) -> dict:
 
 
 def _dumps(obj) -> str:
+    import json
+
     try:
         return json.dumps(obj, indent=2, sort_keys=True)
     except ValueError as exc:  # the only failure on plain ints, lists and dicts
@@ -221,6 +227,8 @@ def _parse_range(text: str, what: str) -> tuple:
 
 def _read_json(path):
     """The JSON document in the file at path, or on stdin if path is None."""
+    import json
+
     name = "stdin" if path is None else path
     try:
         if path is None:
@@ -246,9 +254,10 @@ def _load_gluing_matrix(args) -> GluingMatrix:
 
 def cmd_classify(args) -> int:
     gm = _load_gluing_matrix(args)
+    report = _gluing_report(gm)
     _emit_json(dict(
-        _gluing_report(gm),
-        group=_group_report(pi1_single_gluing(gm)),
+        report,
+        group=_group_report(report["gcd_gh"]),
         matrix=gm.matrix.to_lists(),
     ))
     return 0
@@ -263,27 +272,37 @@ def _params_from_args(triple, completion_text, what):
         raise DocumentError(f"{what}: {exc}") from exc
 
 
-def cmd_compose(args) -> int:
-    from .abelian import is_isomorphic
+def _compose_report(plus: LogTransformParams, minus: LogTransformParams) -> dict:
+    """The compose report: both routes to pi_1 = Z + Z/mu, compared by mu.
 
-    tp = _parse_int_list(args.plus, 3, "--plus")
-    tm = _parse_int_list(args.minus, 3, "--minus")
-    plus = _params_from_args(tp, args.plus_completion, "--plus")
-    minus = _params_from_args(tm, args.minus_completion, "--minus")
+    The direct mu is the minor gcd of the two surgery relations, the other
+    is gcd(g, h) of the composed gluing.  The groups Z + Z/mu of two mus
+    are isomorphic exactly when the mus are equal, so ``agreement``
+    compares the ints.
+    """
+    tp, tm = (plus.a, plus.b, plus.p), (minus.a, minus.b, minus.p)
     composed = compose_two_fiber(plus, minus)
-    direct = pi1_two_log_transforms(*tp, *tm)
-    via_matrix = pi1_single_gluing(composed)
-    agreement = is_isomorphic(direct, via_matrix)
-    _emit_json(dict(
-        _gluing_report(composed),
-        agreement=agreement,
+    report = _gluing_report(composed)
+    direct = _checked_two_log_mu(*tp, *tm)
+    via_matrix = report["gcd_gh"]
+    return dict(
+        report,
+        agreement=direct == via_matrix,
         composed_matrix=composed.matrix.to_lists(),
         group=_group_report(direct),
         group_from_composition=_group_report(via_matrix),
         minus=list(tm),
         plus=list(tp),
-    ))
-    if not agreement:
+    )
+
+
+def cmd_compose(args) -> int:
+    tp = _parse_int_list(args.plus, 3, "--plus")
+    tm = _parse_int_list(args.minus, 3, "--minus")
+    report = _compose_report(_params_from_args(tp, args.plus_completion, "--plus"),
+                             _params_from_args(tm, args.minus_completion, "--minus"))
+    _emit_json(report)
+    if not report["agreement"]:
         return _fail("fundamental-group routes disagree (convention bug)", 3)
     return 0
 
@@ -330,6 +349,39 @@ def _sweep_spec_from_args(args):
         q=_parse_range(args.q_range, "--q-range"),
         homology_hopf_only=args.homology_hopf_only,
     )
+
+
+#: Rows per write of a sweep: under PYTHONUNBUFFERED each write to stdout
+#: is a system call of its own.
+_CHUNK_ROWS = 1000
+
+
+class _ChunkedWriter:
+    """Passes written text on to ``out`` in one write per _CHUNK_ROWS writes.
+
+    ``flush`` passes on the text of a last, partial chunk.
+    """
+
+    __slots__ = ("out", "parts")
+
+    def __init__(self, out):
+        self.out = out
+        self.parts = []
+
+    def write(self, text: str) -> None:
+        parts = self.parts
+        parts.append(text)
+        if len(parts) == _CHUNK_ROWS:
+            self.flush()
+
+    def writelines(self, texts) -> None:
+        for text in texts:
+            self.write(text)
+
+    def flush(self) -> None:
+        text = "".join(self.parts)
+        self.parts.clear()
+        self.out.write(text)
 
 
 # One CSV row with its newline; matrix rows leave the six params empty.
@@ -383,7 +435,8 @@ def _record_json_text(r) -> str:
 def _write_json_records(out, records):
     """Write records as the elements of the document's "records" array.
 
-    Yields each record once it is written, so the caller can tally them.
+    Yields each record once it is passed to ``out``, so the caller can
+    tally them.
     """
     sep = "\n    "
     for r in records:
@@ -421,20 +474,28 @@ def cmd_sweep(args) -> int:
         spec = _sweep_spec_from_args(args)
     except SweepSpecError as exc:
         raise DocumentError(str(exc)) from exc
-    out = sys.stdout
-    if args.format == "csv":
-        out.write(CSV_HEADER + "\n")
-        out.writelines(map(_record_csv_row, iter_sweep(spec)))
-        return 0
     # The bytes of _emit_json on the whole document, written as the records
     # come: sorted, the keys are convention, mode, records, summary and
-    # zeta_variant, so everything after the records is known by then.
-    out.write('{\n  "convention": %s,\n  "mode": %s,\n  "records": ['
-              % (json.dumps(CONVENTION), json.dumps(spec.mode)))
-    s = summarize(_write_json_records(out, iter_sweep(spec)))
-    out.write(',\n  "summary": %s,\n  "zeta_variant": %s\n}\n'
-              % (_summary_json_text(s, count_skipped(spec)),
-                 json.dumps(calibrated_zeta_variant())))
+    # zeta_variant, so everything after the records is known by then.  The
+    # three tags are lowercase ASCII words and dashes, which json.dumps
+    # prints as they are between double quotes.
+    csv = args.format == "csv"
+    sys.stdout.write(CSV_HEADER + "\n" if csv else
+                     '{\n  "convention": "%s",\n  "mode": "%s",\n  "records": ['
+                     % (CONVENTION, spec.mode))
+    out = _ChunkedWriter(sys.stdout)
+    try:
+        if csv:
+            out.writelines(map(_record_csv_row, iter_sweep(spec)))
+        else:
+            s = summarize(_write_json_records(out, iter_sweep(spec)))
+            out.write(',\n  "summary": %s,\n  "zeta_variant": "%s"\n}\n'
+                      % (_summary_json_text(s, count_skipped(spec)),
+                         calibrated_zeta_variant()))
+    finally:
+        # Also when a row raises OutputError, so the rows before it are
+        # written, as they were with one write per row.
+        out.flush()
     return 0
 
 
@@ -448,25 +509,22 @@ def cmd_selftest(args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopfglue",
-        description="Invariants and certified reductions of T^2 x D^2 boundary gluings.",
+def _add_matrix_input(p):
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument(
+        "--matrix",
+        help="9 comma-separated integers, row-major",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    grp.add_argument("--file", help="path to a matrix document (JSON)")
 
-    def add_matrix_input(p):
-        grp = p.add_mutually_exclusive_group(required=True)
-        grp.add_argument(
-            "--matrix",
-            help="9 comma-separated integers, row-major",
-        )
-        grp.add_argument("--file", help="path to a matrix document (JSON)")
 
+def _classify_parser(sub):
     p = sub.add_parser("classify", help="fundamental group and homology type")
-    add_matrix_input(p)
+    _add_matrix_input(p)
     p.set_defaults(fn=cmd_classify)
 
+
+def _compose_parser(sub):
     p = sub.add_parser("compose", help="compose two fiber surgeries")
     p.add_argument("--plus", required=True, help="a,b,p triple")
     p.add_argument("--minus", required=True, help="c,d,q triple")
@@ -474,8 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minus-completion", help="explicit completion, 9 integers")
     p.set_defaults(fn=cmd_compose)
 
+
+def _reduce_parser(sub):
     p = sub.add_parser("reduce", help="reduce to normal form with a certificate")
-    add_matrix_input(p)
+    _add_matrix_input(p)
     p.add_argument(
         "--standard",
         action="store_true",
@@ -483,10 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_reduce)
 
+
+def _verify_parser(sub):
     p = sub.add_parser("verify", help="check a reduction certificate")
     p.add_argument("--file", help="certificate document (JSON); stdin if omitted")
     p.set_defaults(fn=cmd_verify)
 
+
+def _sweep_parser(sub):
     p = sub.add_parser("sweep", help="tabulate invariants over a parameter grid")
     p.add_argument("--direction-plus", help="a,b for the first surgery")
     p.add_argument("--direction-minus", help="c,d for the second surgery")
@@ -501,16 +565,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_sweep)
 
+
+def _selftest_parser(sub):
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
     p.set_defaults(fn=cmd_selftest)
 
+
+#: Each command with the function that adds its subparser, in help order.
+_SUBPARSERS = {
+    "classify": _classify_parser,
+    "compose": _compose_parser,
+    "reduce": _reduce_parser,
+    "verify": _verify_parser,
+    "sweep": _sweep_parser,
+    "selftest": _selftest_parser,
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The hopfglue parser, for ``argv`` if it is given.
+
+    When ``argv[0]`` names a command, only that command's subparser is
+    built; otherwise (no argv, no command, ``--help``, an unknown command)
+    all six are.  The single-command parser names all six in its usage
+    line, so its error messages read as the full parser's would.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hopfglue",
+        description="Invariants and certified reductions of T^2 x D^2 boundary gluings.",
+    )
+    command = argv[0] if argv else None
+    if command in _SUBPARSERS:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(_SUBPARSERS))
+        _SUBPARSERS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
             code = args.fn(args)
         except SystemExit as exc:  # --help, or a usage error argparse reported
             code = int(exc.code or 0)

@@ -255,6 +255,17 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(m.m @ _FLIP)
 
 
+def _rank_and_factors(mu: int) -> tuple:
+    """Z + Z/mu as (rank, invariant factors): Z^2 for mu = 0, Z for mu = 1.
+
+    The one place the rule is written: group_of_mu builds its groups from
+    it, and the CLI reports groups with it without building them.
+    """
+    if mu == 0:
+        return 2, ()
+    return (1, ()) if mu == 1 else (1, (mu,))
+
+
 #: Shared groups by mu.  Groups are immutable, so every caller may hold
 #: the same instance; past _GROUPS_MAX entries new groups are not kept.
 #: The first miss imports abelian and puts in the free groups, mu 0 and 1.
@@ -270,13 +281,14 @@ def group_of_mu(mu: int) -> FgAbelianGroup:
             from .abelian import FgAbelianGroup
 
             # One update, so no other thread sees one free group without the other.
-            _GROUPS.update({0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())})
+            _GROUPS.update({0: FgAbelianGroup(*_rank_and_factors(0)),
+                            1: FgAbelianGroup(*_rank_and_factors(1))})
             return group_of_mu(mu)
         # The class of the free groups, which stay cached: taking it from
         # them costs far less than an import statement on every miss.
         group = type(_GROUPS[0])
         # Z/mu is already in normal form for mu >= 2; anything else raises.
-        g = group._trusted(1, (mu,)) if mu >= 2 else group(1, (mu,))
+        g = (group._trusted if mu >= 2 else group)(*_rank_and_factors(mu))
         if len(_GROUPS) < _GROUPS_MAX:
             _GROUPS[mu] = g
     return g
@@ -306,6 +318,7 @@ def random_completion(v, seed: int) -> UnimodularMatrix:
     Right-multiplies the canonical completion by a random matrix that
     fixes the third basis vector, which leaves the third column intact.
     """
+    _require_int((seed,), "seed")
     rng = random.Random(seed)
     base = complete_primitive_to_sl3(tuple(v))
     block = [[1, 0], [0, 1]]
@@ -357,6 +370,16 @@ def _two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
     return math.gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
 
 
+def _checked_two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
+    # _two_log_mu of two int triples, each checked to be primitive
+    _require_int((a, b, p, c, d, q), "a, b, p, c, d and q")
+    if math.gcd(a, b, p) != 1:
+        raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
+    if math.gcd(c, d, q) != 1:
+        raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
+    return _two_log_mu(a, b, p, c, d, q)
+
+
 def pi1_two_log_transforms(a: int, b: int, p: int,
                            c: int, d: int, q: int) -> FgAbelianGroup:
     """Fundamental group from the two surgery relations directly.
@@ -369,12 +392,7 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
     what is computed here; the tests keep the Smith normal form route
     (group_from_presentation) as an independent oracle.
     """
-    _require_int((a, b, p, c, d, q), "a, b, p, c, d and q")
-    if math.gcd(a, b, p) != 1:
-        raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
-    if math.gcd(c, d, q) != 1:
-        raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
-    return group_of_mu(_two_log_mu(a, b, p, c, d, q))
+    return group_of_mu(_checked_two_log_mu(a, b, p, c, d, q))
 
 
 # --- constructive reduction with certificates ---------------------------

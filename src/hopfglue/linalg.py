@@ -492,6 +492,7 @@ def gcd_of_k_minors(a: IntMatrix, k: int) -> int:
     Returns 0 when every k-minor vanishes (the gcd-of-nothing-but-zeros
     convention).
     """
+    _require_int((k,), "k")
     if not 1 <= k <= min(a.rows, a.cols):
         raise ShapeError(f"k={k} out of range for a {a.rows}x{a.cols} matrix")
     g = 0

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import enum
 import io
+import itertools
 import json
 import math
 import os
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfglue.abelian import FgAbelianGroup
+from hopfglue.abelian import FgAbelianGroup, Presentation, group_from_presentation, is_isomorphic
 from hopfglue.cli import (
     CSV_HEADER,
     DocumentError,
     OutputError,
+    _compose_report,
+    _group_report,
     _lists_to_matrix,
     _record_csv_row,
     _record_json_text,
@@ -30,7 +33,11 @@ from hopfglue.cli import (
 )
 from hopfglue.gluing import (
     GluingMatrix,
+    LogTransformParams,
+    compose_two_fiber,
     normalize_to_sl3,
+    pi1_single_gluing,
+    pi1_two_log_transforms,
     reduce_to_normal_form,
     reduce_to_standard,
     standard_gluing_matrix,
@@ -148,6 +155,35 @@ def test_compose_disagreement_is_exit_three(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["agreement"] is False
     assert "disagree" in err
+
+
+def _report_of(group):
+    return {"rank": group.rank, "invariant_factors": list(group.invariant_factors)}
+
+
+def test_group_reports_from_mu_match_the_smith_form_route():
+    # Z + Z/mu is Z^2 modulo the relation (mu, 0).
+    groups = [group_from_presentation(Presentation(2, [(mu, 0)])) for mu in range(201)]
+    for mu, g in enumerate(groups):
+        assert _group_report(mu) == _report_of(g), mu
+    # compose's agreement compares mus, which is is_isomorphic on their groups
+    for (x, gx), (y, gy) in itertools.product(enumerate(groups), repeat=2):
+        assert (x == y) is is_isomorphic(gx, gy)
+
+
+def test_compose_report_matches_the_group_route_on_the_box():
+    triples = [t for t in itertools.product(range(-2, 3), repeat=3) if math.gcd(*t) == 1]
+    params = {t: LogTransformParams(*t) for t in triples}
+    assert len(triples) ** 2 == 9604
+    for tp, tm in itertools.product(triples, repeat=2):
+        plus, minus = params[tp], params[tm]
+        report = _compose_report(plus, minus)
+        direct = pi1_two_log_transforms(*tp, *tm)
+        via_matrix = pi1_single_gluing(compose_two_fiber(plus, minus))
+        assert report["agreement"] is is_isomorphic(direct, via_matrix)
+        assert report["group"] == _report_of(direct)
+        assert report["group_from_composition"] == _report_of(via_matrix)
+        assert (report["plus"], report["minus"]) == (list(tp), list(tm))
 
 
 def test_compose_rejects_mismatched_completion(capsys):
@@ -623,6 +659,30 @@ def test_oversize_json_sweep_exits_two_before_writing_the_record(capsys):
                    '  "mode": "tuple",\n  "records": [')
 
 
+@pytest.mark.skipif(
+    not 4001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+    reason="needs an int/str conversion limit that lets BIG parse but not its square",
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oversize_sweep_writes_every_row_before_the_failing_one(capsys, fmt):
+    # mu = gcd(BIG**2 - 1, q): small for q < 0 and BIG**2 - 1 at q = 0, the
+    # last cell.  1,001 good rows fill one chunk and start the next.
+    code, out, err = run(capsys, "sweep", f"--direction-plus={BIG},1",
+                         f"--direction-minus=1,{BIG}", "--p-range", "0:0",
+                         "--q-range=-1001:0", "--format", fmt)
+    assert code == 2
+    assert err.startswith("error: result holds an integer longer than")
+    b = int(BIG)
+    good = sweep(SweepSpec.tuples((b, b), (1, 1), (0, 0), (1, 1), (b, b), (-1001, -1)))
+    assert len(good) == 1001
+    if fmt == "csv":
+        assert out == CSV_HEADER + "\n" + "".join(map(_record_csv_row, good))
+    else:
+        assert out == ('{\n  "convention": "columns-are-images-alpha-beta-gamma",\n'
+                       '  "mode": "tuple",\n  "records": [\n    '
+                       + ",\n    ".join(map(_record_json_text, good)))
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -972,8 +1032,10 @@ def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
 
 
 def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
-    # reduce and verify build no group, so neither abelian nor the
-    # dataclasses and inspect modules it pulls in may load for them.
+    # reduce and verify build no group, and classify and compose report
+    # Z + Z/mu from the int mu, so neither abelian nor the dataclasses and
+    # inspect modules it pulls in may load for them.  A sweep's records
+    # hold groups.
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(certificate_document(
         reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
@@ -982,8 +1044,9 @@ def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
     expected = [
         (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], "0 []\n"),
         (["verify", "--file", str(cert)], "0 []\n"),
-        (["classify", "--matrix", ZETA_ARG], "0 ['hopfglue.abelian'"),
-        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 ['hopfglue.abelian'"),
+        (["classify", "--matrix", ZETA_ARG], "0 []\n"),
+        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 []\n"),
+        (["sweep", "--random", "2"], "0 ['hopfglue.abelian'"),
     ]
     for argv, start in expected:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],
@@ -998,3 +1061,17 @@ def test_importing_the_package_loads_the_gluing_layer():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout == "True False\n"
+
+
+def test_sweeps_write_their_output_without_loading_json():
+    probe = _MAIN_PROBE_OF % (("json",),)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    sweep = ("sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+             "--p-range", "0:2", "--q-range", "0:2")
+    for argv, want in [((*sweep, "--format", "csv"), "0 []\n"),
+                       (sweep, "0 []\n"),
+                       (("sweep", "--random", "3", "--format", "csv"), "0 []\n"),
+                       (("classify", "--matrix", ZETA_ARG), "0 ['json']\n")]:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == want, (argv, proc.stdout)

@@ -580,6 +580,12 @@ def test_pi1_two_log_transforms_rejects_non_int_entries(position, kind, bad):
         pi1_two_log_transforms(*args)
 
 
+@pytest.mark.parametrize("seed, kind", [(1.5, "float"), (True, "bool"), (1.0, "float")])
+def test_random_completion_rejects_a_non_int_seed(seed, kind):
+    with pytest.raises(TypeError, match=f"seed must be int, got {kind}$"):
+        random_completion((1, 0, 2), seed)
+
+
 @pytest.mark.parametrize("left, right, reason", [
     ((IntMatrix([[1, 0, 0], [0, 1, 0]]),), (), "left factor 0 is not 3x3"),
     (([[1, 0, 0], [0, 1], [0, 0, 1]],), (),

@@ -411,6 +411,12 @@ def test_random_sl3_rejects_non_int_arguments(seed, word_length, kind):
         random_sl3(seed, word_length)
 
 
+@pytest.mark.parametrize("k, kind", [(1.5, "float"), (True, "bool"), (1.0, "float")])
+def test_gcd_of_k_minors_rejects_a_non_int_k(k, kind):
+    with pytest.raises(TypeError, match=f"k must be int, got {kind}$"):
+        gcd_of_k_minors(IntMatrix([[2, 4, 6], [0, 8, 0]]), k)
+
+
 def test_random_sl3_always_det_one():
     for seed in range(1000):
         assert random_sl3(seed, 10).det == 1
