@@ -474,15 +474,17 @@ def cmd_sweep(args) -> int:
         spec = _sweep_spec_from_args(args)
     except SweepSpecError as exc:
         raise DocumentError(str(exc)) from exc
-    # The bytes of _emit_json on the whole document, written as the records
-    # come: sorted, the keys are convention, mode, records, summary and
-    # zeta_variant, so everything after the records is known by then.  The
-    # three tags are lowercase ASCII words and dashes, which json.dumps
-    # prints as they are between double quotes.
     csv = args.format == "csv"
-    sys.stdout.write(CSV_HEADER + "\n" if csv else
-                     '{\n  "convention": "%s",\n  "mode": "%s",\n  "records": ['
-                     % (CONVENTION, spec.mode))
+    if csv:
+        sys.stdout.write(CSV_HEADER + "\n")
+    else:
+        # The bytes of _emit_json on the whole document, written as the
+        # records come: sorted, the keys are convention, mode, records,
+        # summary and zeta_variant, so everything after the records is known
+        # by then.  The three tags are lowercase ASCII words and dashes,
+        # which json.dumps prints as they are between double quotes.
+        sys.stdout.write('{\n  "convention": "%s",\n  "mode": "%s",\n  "records": ['
+                         % (CONVENTION, spec.mode))
     out = _ChunkedWriter(sys.stdout)
     try:
         if csv:
