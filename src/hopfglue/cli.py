@@ -37,12 +37,11 @@ from .gluing import (
     LogTransformParams,
     NotHomologyHopfError,
     ReductionCertificate,
-    _checked_two_log_mu,
     _rank_and_factors,
+    _two_log_mu,
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
-    is_homology_hopf,
     normalize_to_sl3,
     reduce_to_normal_form,
     reduce_to_standard,
@@ -168,28 +167,26 @@ def _group_report(mu: int) -> dict:
 
 def _gluing_report(gm: GluingMatrix) -> dict:
     """The keys classify and compose both print about a gluing."""
+    mu = math.gcd(gm.g, gm.h)
     return {
         "convention": CONVENTION,
         "det": gm.det,
         "g": gm.g,
         "h": gm.h,
-        "gcd_gh": math.gcd(gm.g, gm.h),
-        "homology_hopf": is_homology_hopf(gm),
+        "gcd_gh": mu,
+        "homology_hopf": mu == 1,
         "zeta_variant": calibrated_zeta_variant(),
     }
 
 
-def _dumps(obj) -> str:
+def _emit_json(obj) -> None:
     import json
 
     try:
-        return json.dumps(obj, indent=2, sort_keys=True)
+        text = json.dumps(obj, indent=2, sort_keys=True)
     except ValueError as exc:  # the only failure on plain ints, lists and dicts
         raise OutputError() from exc
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
+    sys.stdout.write(text + "\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -278,12 +275,13 @@ def _compose_report(plus: LogTransformParams, minus: LogTransformParams) -> dict
     The direct mu is the minor gcd of the two surgery relations, the other
     is gcd(g, h) of the composed gluing.  The groups Z + Z/mu of two mus
     are isomorphic exactly when the mus are equal, so ``agreement``
-    compares the ints.
+    compares the ints.  Both triples are already checked, as ints and as
+    columns of determinant-1 completions, which makes them primitive.
     """
     tp, tm = (plus.a, plus.b, plus.p), (minus.a, minus.b, minus.p)
     composed = compose_two_fiber(plus, minus)
     report = _gluing_report(composed)
-    direct = _checked_two_log_mu(*tp, *tm)
+    direct = _two_log_mu(*tp, *tm)
     via_matrix = report["gcd_gh"]
     return dict(
         report,
@@ -356,34 +354,6 @@ def _sweep_spec_from_args(args):
 _CHUNK_ROWS = 1000
 
 
-class _ChunkedWriter:
-    """Passes written text on to ``out`` in one write per _CHUNK_ROWS writes.
-
-    ``flush`` passes on the text of a last, partial chunk.
-    """
-
-    __slots__ = ("out", "parts")
-
-    def __init__(self, out):
-        self.out = out
-        self.parts = []
-
-    def write(self, text: str) -> None:
-        parts = self.parts
-        parts.append(text)
-        if len(parts) == _CHUNK_ROWS:
-            self.flush()
-
-    def writelines(self, texts) -> None:
-        for text in texts:
-            self.write(text)
-
-    def flush(self) -> None:
-        text = "".join(self.parts)
-        self.parts.clear()
-        self.out.write(text)
-
-
 # One CSV row with its newline; matrix rows leave the six params empty.
 _TUPLE_ROW = "%d,%d,%d,%d,%d,%d,%d,%s,%d,%s\n"
 _MATRIX_ROW = ",,,,,,%d,%s,%d,%s\n"
@@ -432,18 +402,18 @@ def _record_json_text(r) -> str:
         raise OutputError() from exc
 
 
-def _write_json_records(out, records):
+def _write_json_records(write, records):
     """Write records as the elements of the document's "records" array.
 
-    Yields each record once it is passed to ``out``, so the caller can
+    Yields each record once it is passed to ``write``, so the caller can
     tally them.
     """
     sep = "\n    "
     for r in records:
-        out.write(sep + _record_json_text(r))
+        write(sep + _record_json_text(r))
         sep = ",\n    "
         yield r
-    out.write("]" if sep == "\n    " else "\n  ]")
+    write("]" if sep == "\n    " else "\n  ]")
 
 
 # The sweep summary as json.dumps(indent=2, sort_keys=True) prints it at
@@ -485,19 +455,26 @@ def cmd_sweep(args) -> int:
         # which json.dumps prints as they are between double quotes.
         sys.stdout.write('{\n  "convention": "%s",\n  "mode": "%s",\n  "records": ['
                          % (CONVENTION, spec.mode))
-    out = _ChunkedWriter(sys.stdout)
+    parts = []
+
+    def write(text: str) -> None:
+        parts.append(text)
+        if len(parts) == _CHUNK_ROWS:
+            sys.stdout.write("".join(parts))
+            parts.clear()
+
     try:
         if csv:
-            out.writelines(map(_record_csv_row, iter_sweep(spec)))
+            for row in map(_record_csv_row, iter_sweep(spec)):
+                write(row)
         else:
-            s = summarize(_write_json_records(out, iter_sweep(spec)))
-            out.write(',\n  "summary": %s,\n  "zeta_variant": "%s"\n}\n'
-                      % (_summary_json_text(s, count_skipped(spec)),
-                         calibrated_zeta_variant()))
+            s = summarize(_write_json_records(write, iter_sweep(spec)))
+            write(',\n  "summary": %s,\n  "zeta_variant": "%s"\n}\n'
+                  % (_summary_json_text(s, count_skipped(spec)),
+                     calibrated_zeta_variant()))
     finally:
-        # Also when a row raises OutputError, so the rows before it are
-        # written, as they were with one write per row.
-        out.flush()
+        # Also when a row raises OutputError: every row before it is written.
+        sys.stdout.write("".join(parts))
     return 0
 
 
@@ -520,40 +497,27 @@ def _add_matrix_input(p):
     grp.add_argument("--file", help="path to a matrix document (JSON)")
 
 
-def _classify_parser(sub):
-    p = sub.add_parser("classify", help="fundamental group and homology type")
-    _add_matrix_input(p)
-    p.set_defaults(fn=cmd_classify)
-
-
-def _compose_parser(sub):
-    p = sub.add_parser("compose", help="compose two fiber surgeries")
+def _add_compose_args(p):
     p.add_argument("--plus", required=True, help="a,b,p triple")
     p.add_argument("--minus", required=True, help="c,d,q triple")
     p.add_argument("--plus-completion", help="explicit completion, 9 integers")
     p.add_argument("--minus-completion", help="explicit completion, 9 integers")
-    p.set_defaults(fn=cmd_compose)
 
 
-def _reduce_parser(sub):
-    p = sub.add_parser("reduce", help="reduce to normal form with a certificate")
+def _add_reduce_args(p):
     _add_matrix_input(p)
     p.add_argument(
         "--standard",
         action="store_true",
         help="continue past the normal form to the fixed standard gluing",
     )
-    p.set_defaults(fn=cmd_reduce)
 
 
-def _verify_parser(sub):
-    p = sub.add_parser("verify", help="check a reduction certificate")
+def _add_verify_args(p):
     p.add_argument("--file", help="certificate document (JSON); stdin if omitted")
-    p.set_defaults(fn=cmd_verify)
 
 
-def _sweep_parser(sub):
-    p = sub.add_parser("sweep", help="tabulate invariants over a parameter grid")
+def _add_sweep_args(p):
     p.add_argument("--direction-plus", help="a,b for the first surgery")
     p.add_argument("--direction-minus", help="c,d for the second surgery")
     p.add_argument("--p-range", help="inclusive LO:HI for p")
@@ -565,22 +529,17 @@ def _sweep_parser(sub):
     # Accepted for compatibility; sweeps always run serially.
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_sweep)
 
 
-def _selftest_parser(sub):
-    p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p.set_defaults(fn=cmd_selftest)
-
-
-#: Each command with the function that adds its subparser, in help order.
-_SUBPARSERS = {
-    "classify": _classify_parser,
-    "compose": _compose_parser,
-    "reduce": _reduce_parser,
-    "verify": _verify_parser,
-    "sweep": _sweep_parser,
-    "selftest": _selftest_parser,
+#: Each command, in help order, with its help line, the function that runs
+#: it and the function that adds its arguments to its subparser.
+_COMMANDS = {
+    "classify": ("fundamental group and homology type", cmd_classify, _add_matrix_input),
+    "compose": ("compose two fiber surgeries", cmd_compose, _add_compose_args),
+    "reduce": ("reduce to normal form with a certificate", cmd_reduce, _add_reduce_args),
+    "verify": ("check a reduction certificate", cmd_verify, _add_verify_args),
+    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _add_sweep_args),
+    "selftest": ("run the built-in invariant suites", cmd_selftest, None),
 }
 
 
@@ -597,14 +556,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         description="Invariants and certified reductions of T^2 x D^2 boundary gluings.",
     )
     command = argv[0] if argv else None
-    if command in _SUBPARSERS:
+    if command in _COMMANDS:
         sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{%s}" % ",".join(_SUBPARSERS))
-        _SUBPARSERS[command](sub)
+                                    metavar="{%s}" % ",".join(_COMMANDS))
+        commands = {command: _COMMANDS[command]}
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBPARSERS.values():
-            add(sub)
+        commands = _COMMANDS
+    for name, (help_line, fn, add_arguments) in commands.items():
+        p = sub.add_parser(name, help=help_line)
+        if add_arguments is not None:
+            add_arguments(p)
+        p.set_defaults(fn=fn)
     return parser
 
 

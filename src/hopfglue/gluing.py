@@ -79,7 +79,7 @@ class GluingMatrix:
         if isinstance(m, GluingMatrix):
             m = m.m
         if not isinstance(m, UnimodularMatrix):
-            m = UnimodularMatrix(m if isinstance(m, IntMatrix) else IntMatrix(m))
+            m = UnimodularMatrix(m)
         if m.m.rows != 3:
             raise ValueError("gluing matrices are 3x3")
         self.m = m
@@ -370,16 +370,6 @@ def _two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
     return math.gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
 
 
-def _checked_two_log_mu(a: int, b: int, p: int, c: int, d: int, q: int) -> int:
-    # _two_log_mu of two int triples, each checked to be primitive
-    _require_int((a, b, p, c, d, q), "a, b, p, c, d and q")
-    if math.gcd(a, b, p) != 1:
-        raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
-    if math.gcd(c, d, q) != 1:
-        raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
-    return _two_log_mu(a, b, p, c, d, q)
-
-
 def pi1_two_log_transforms(a: int, b: int, p: int,
                            c: int, d: int, q: int) -> FgAbelianGroup:
     """Fundamental group from the two surgery relations directly.
@@ -392,7 +382,12 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
     what is computed here; the tests keep the Smith normal form route
     (group_from_presentation) as an independent oracle.
     """
-    return group_of_mu(_checked_two_log_mu(a, b, p, c, d, q))
+    _require_int((a, b, p, c, d, q), "a, b, p, c, d and q")
+    if math.gcd(a, b, p) != 1:
+        raise NotPrimitiveError(f"triple {(a, b, p)} is not primitive")
+    if math.gcd(c, d, q) != 1:
+        raise NotPrimitiveError(f"triple {(c, d, q)} is not primitive")
+    return group_of_mu(_two_log_mu(a, b, p, c, d, q))
 
 
 # --- constructive reduction with certificates ---------------------------

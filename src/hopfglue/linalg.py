@@ -123,6 +123,8 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self._rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         return multiply(self, other)
 
     def __neg__(self) -> "IntMatrix":

@@ -38,6 +38,7 @@ from hopfglue.gluing import (
     normalize_to_sl3,
     pi1_single_gluing,
     pi1_two_log_transforms,
+    random_completion,
     reduce_to_normal_form,
     reduce_to_standard,
     standard_gluing_matrix,
@@ -173,17 +174,22 @@ def test_group_reports_from_mu_match_the_smith_form_route():
 
 def test_compose_report_matches_the_group_route_on_the_box():
     triples = [t for t in itertools.product(range(-2, 3), repeat=3) if math.gcd(*t) == 1]
-    params = {t: LogTransformParams(*t) for t in triples}
+    canonical = {t: LogTransformParams(*t) for t in triples}
+    # Completions other than the canonical one: compose takes mu from the
+    # triples without checking them again.
+    supplied = {t: LogTransformParams(*t, completion=random_completion(t, i))
+                for i, t in enumerate(triples)}
     assert len(triples) ** 2 == 9604
-    for tp, tm in itertools.product(triples, repeat=2):
-        plus, minus = params[tp], params[tm]
-        report = _compose_report(plus, minus)
-        direct = pi1_two_log_transforms(*tp, *tm)
-        via_matrix = pi1_single_gluing(compose_two_fiber(plus, minus))
-        assert report["agreement"] is is_isomorphic(direct, via_matrix)
-        assert report["group"] == _report_of(direct)
-        assert report["group_from_composition"] == _report_of(via_matrix)
-        assert (report["plus"], report["minus"]) == (list(tp), list(tm))
+    for params in (canonical, supplied):
+        for tp, tm in itertools.product(triples, repeat=2):
+            plus, minus = params[tp], params[tm]
+            report = _compose_report(plus, minus)
+            direct = pi1_two_log_transforms(*tp, *tm)
+            via_matrix = pi1_single_gluing(compose_two_fiber(plus, minus))
+            assert report["agreement"] is is_isomorphic(direct, via_matrix)
+            assert report["group"] == _report_of(direct)
+            assert report["group_from_composition"] == _report_of(via_matrix)
+            assert (report["plus"], report["minus"]) == (list(tp), list(tm))
 
 
 def test_compose_rejects_mismatched_completion(capsys):
@@ -721,6 +727,31 @@ def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+_GRID = ("--direction-plus", "1,0", "--direction-minus", "1,0",
+         "--p-range", "0:48", "--q-range", "0:48")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", *_GRID, "--format", "csv"),
+    ("sweep", *_GRID, "--format", "json"),
+    ("sweep", "--random", "2500", "--seed", "7", "--format", "csv"),
+], ids=["tuple-csv", "tuple-json", "random-csv"])
+def test_sweep_through_a_pipe_writes_the_bytes_of_main(capsys, argv):
+    # Several chunks of rows, written to a real file descriptor with and
+    # without Python's own stdout buffer.
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and expected.count("\n") > 2 * 1000
+    for unbuffered in (False, True):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run([sys.executable, "-m", "hopfglue.cli", *argv],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b""), unbuffered
+        assert proc.stdout == expected.encode(), unbuffered
 
 
 def test_sweep_invalid_flags(capsys):

@@ -655,3 +655,13 @@ def test_unimodular_value_semantics():
     assert inv == UnimodularMatrix([[1, -2], [0, 1]]) and inv.det == 1
     assert u @ IntMatrix([[1], [1]]) == IntMatrix([[3], [1]])
     assert (u @ inv).m == IntMatrix.identity(2)
+
+
+@pytest.mark.parametrize("other", [
+    UnimodularMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    2,
+])
+def test_intmatrix_matmul_rejects_other_operands(other):
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        IntMatrix.identity(3) @ other
