@@ -1,11 +1,13 @@
 import contextlib
 import dataclasses
 import enum
+import gc
 import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -727,6 +729,46 @@ def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+#: The console script's body: setuptools writes ``sys.exit(<target>())``.
+_SCRIPT = "import sys; from hopfglue.cli import %s; sys.exit(%s())"
+
+
+def test_the_process_entry_point_exits_as_main_does(capsys, monkeypatch):
+    # Exit codes 0, 2 (not unimodular), 4 (gcd(g, h) = 2) and 5 (a tampered
+    # certificate on stdin), through both ways a process runs the CLI.
+    # The [project.scripts] line; tomllib is not in Python 3.10.
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    module, function = re.search(r'^hopfglue = "(.+):(.+)"$', pyproject, re.M).groups()
+    assert module == "hopfglue.cli"
+    doc = certificate_document(reduce_to_standard(normalize_to_sl3(
+        GluingMatrix(random_sl3(7, 12)))))
+    doc["output"][0][0] += 1
+    tampered = json.dumps(doc)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, want in [(["classify", "--matrix", ZETA_ARG], 0),
+                       (["classify", "--matrix", "2,0,0,0,1,0,0,0,1"], 2),
+                       (["reduce", "--matrix", "1,0,2,0,1,2,0,0,1"], 4),
+                       (["verify"], 5)]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(tampered))
+        frozen = gc.get_freeze_count()
+        code, out, err = run(capsys, *argv)
+        assert (code, gc.get_freeze_count()) == (want, frozen), argv
+        for entry in (["-m", "hopfglue.cli"], ["-c", _SCRIPT % (function, function)]):
+            proc = subprocess.run([sys.executable, *entry, *argv], input=tampered.encode(),
+                                  capture_output=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, out.encode(), err.encode()), (entry, argv)
+
+    # Shutdown still runs the atexit handlers, after the heap was frozen.
+    probe = ("import atexit, gc, runpy\n"
+             "atexit.register(lambda: print('atexit, frozen:', gc.get_freeze_count() > 0))\n"
+             "runpy.run_module('hopfglue.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "classify", "--matrix", ZETA_ARG],
+                          capture_output=True, env=env)
+    expected = run(capsys, "classify", "--matrix", ZETA_ARG)[1] + "atexit, frozen: True\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.encode(), b"")
 
 
 _GRID = ("--direction-plus", "1,0", "--direction-minus", "1,0",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -626,6 +627,37 @@ def test_certificate_failure_names_a_malformed_input_or_output(input, output, re
                                 output=output)
     assert certificate_failure(cert) == reason
     assert not verify_certificate(cert)
+
+
+# Entries of 1,500 digits: a determinant of 4,501 digits, over the
+# interpreter's int/str conversion limit where one is set (4,300 by default).
+_BIG = 10**1500
+_HUGE_DET = IntMatrix([[_BIG, 1, 0], [0, _BIG, 1], [1, 0, _BIG]])
+
+
+@pytest.mark.parametrize("input, reason", [
+    (IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "input is not a gluing: determinant is 2, expected +1 or -1"),
+    (IntMatrix.zeros(3, 3), "input is not a gluing: determinant is 0, expected +1 or -1"),
+    (_HUGE_DET, "input is not a gluing: determinant is "),
+], ids=["diag-2-1-1", "zeros", "huge-determinant"])
+def test_certificate_failure_rejects_an_input_that_is_not_a_gluing(input, reason):
+    # The identity holds with no factors, so only the input can fail.
+    cert = ReductionCertificate(input, (), (), input)
+    assert certificate_failure(cert).startswith(reason)
+    assert not verify_certificate(cert)
+    if input is _HUGE_DET:
+        det = determinant(input)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        size = (f"an integer of {det.bit_length()} bits" if 0 < limit < 4501
+                else str(det))
+        assert certificate_failure(cert) == f"{reason}{size}, expected +1 or -1"
+
+
+def test_certificate_failure_checks_factors_before_the_input():
+    cert = ReductionCertificate(IntMatrix.zeros(3, 3), (IntMatrix.zeros(3, 3),),
+                                (), IntMatrix.zeros(3, 3))
+    assert certificate_failure(cert) == "left factor 0 is not extendable"
 
 
 def test_gluing_matrix_value_semantics():
