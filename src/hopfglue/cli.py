@@ -159,15 +159,18 @@ def parse_certificate_document(obj) -> ReductionCertificate:
         if obj.get(key, tag) != tag:
             raise DocumentError(f"unsupported {key} {obj[key]!r}")
     # The product identity then forces the output to be unimodular too.
-    # Every field is checked here, so the certificate is built unchecked.
-    return ReductionCertificate._trusted(
-        _gluing(_lists_to_matrix(obj["input"], "input"),
-                "input is not a gluing: ").matrix,
-        tuple(_lists_to_matrix(f, "left factor", i)
-              for i, f in enumerate(obj["left_factors"])),
-        tuple(_lists_to_matrix(f, "right factor", i)
-              for i, f in enumerate(obj["right_factors"])),
-        _lists_to_matrix(obj["output"], "output"),
+    return ReductionCertificate(
+        input=_gluing(_lists_to_matrix(obj["input"], "input"),
+                      "input is not a gluing: ").matrix,
+        left_factors=tuple(
+            _lists_to_matrix(f, "left factor", i)
+            for i, f in enumerate(obj["left_factors"])
+        ),
+        right_factors=tuple(
+            _lists_to_matrix(f, "right factor", i)
+            for i, f in enumerate(obj["right_factors"])
+        ),
+        output=_lists_to_matrix(obj["output"], "output"),
     )
 
 

@@ -29,13 +29,12 @@ import random
 from .linalg import (
     IntMatrix,
     NotPrimitiveError,
+    NotUnimodularError,
     ShapeError,
     UnimodularMatrix,
-    _describe,
     _require_int,
     _Value,
     complete_primitive_to_sl3,
-    determinant,
     extended_gcd,
     inverse_unimodular,
 )
@@ -398,13 +397,12 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
 def _reduce(m: GluingMatrix):
     """The moves shared by both reductions: ``(left, right, block)``.
 
-    ``left`` is a tuple, outermost first, and ``right`` a list the caller
-    may extend.  The moves carry ``m`` to [[a, c, 1], [b, d, 0], [0, 0, 1]]
-    with ``block`` = (a, c, b, d) and ad - bc = 1.  The carry has
-    determinant x*g + y*h = 1 and the shears have third column (0, 0, 1)
-    and identity block, so every factor is extendable, and the callers
-    build their values unchecked.  Each move updates only the entries it
-    changes; the tests keep the product of the factors as an oracle.
+    ``left`` is outermost first, and the moves carry ``m`` to
+    [[a, c, 1], [b, d, 0], [0, 0, 1]] with ``block`` = (a, c, b, d) and
+    ad - bc = 1.  The carry has determinant x*g + y*h = 1 and the shears
+    have third column (0, 0, 1) and identity block, so every factor is
+    extendable.  Each move updates only the entries it changes; the tests
+    keep the product of the factors as an oracle.
     """
     if m.det != 1:
         raise OrientationError(
@@ -430,7 +428,7 @@ def _reduce(m: GluingMatrix):
     if e != 0 or f != 0:
         right.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (-e, -f, 1))))
         a, c = a - e, c - f
-    return tuple(reversed(left)), right, (a, c, b, d)
+    return left[::-1], right, (a, c, b, d)
 
 
 def reduce_to_normal_form(m: GluingMatrix):
@@ -451,8 +449,8 @@ def reduce_to_normal_form(m: GluingMatrix):
     ``verify``, ``selftest`` and the tests re-check it.
     """
     left, right, (a, c, b, d) = _reduce(m)
-    nf = NormalForm._trusted(IntMatrix._trusted(((a, c), (b, d))))
-    return nf, ReductionCertificate._trusted(m.matrix, left, tuple(right), nf.matrix)
+    nf = NormalForm(IntMatrix._trusted(((a, c), (b, d))))
+    return nf, ReductionCertificate(m.matrix, left, right, nf.matrix)
 
 
 def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
@@ -467,7 +465,7 @@ def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
     left, right, (a, c, b, d) = _reduce(m)
     if (a, c, b, d) != (1, 0, 0, 1):
         right.append(IntMatrix._trusted(((d, -c, 0), (-b, a, 0), (0, 0, 1))))
-    return ReductionCertificate._trusted(m.matrix, left, tuple(right), _N0)
+    return ReductionCertificate(m.matrix, left, right, _N0)
 
 
 def certificate_failure(cert: ReductionCertificate):
@@ -497,9 +495,10 @@ def certificate_failure(cert: ReductionCertificate):
         return f"malformed certificate: input: {exc}"
     if (product.rows, product.cols) != (3, 3):
         return "input is not 3x3"
-    det = determinant(product)
-    if det != 1 and det != -1:
-        return f"input is not a gluing: determinant is {_describe(det)}, expected +1 or -1"
+    try:
+        UnimodularMatrix(product)
+    except NotUnimodularError as exc:
+        return f"input is not a gluing: {exc}"
     for f in reversed(left):
         product = f @ product
     for f in right:

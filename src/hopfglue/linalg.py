@@ -198,8 +198,7 @@ class _Value:
     class with equal fields, hashes as the tuple of its fields, has the
     repr ``Name(field=value, ...)``, and refuses assignment and deletion.
     A subclass's ``__init__`` validates and then stores its fields with
-    ``_set``; values the library builds itself skip the checks through
-    ``_trusted``.  Copies and pickles are rebuilt through ``__init__``.
+    ``_set``.  Copies and pickles are rebuilt through ``__init__``.
     """
 
     __slots__ = ()
@@ -208,14 +207,6 @@ class _Value:
         cls.__match_args__ = cls.__slots__
         # The slot descriptors' own setters: assignment is refused below.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    @classmethod
-    def _trusted(cls, *values):
-        """An instance holding ``values``, fields the library built, unchecked."""
-        self = object.__new__(cls)
-        for setter, value in zip(cls._setters, values):
-            setter(self, value)
-        return self
 
     def _set(self, *values) -> None:
         for setter, value in zip(self._setters, values):

@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from hopfglue.abelian import Presentation
-from hopfglue.cli import certificate_document, parse_certificate_document
 from hopfglue.gluing import (
     GluingMatrix,
     NormalForm,
@@ -143,32 +142,6 @@ def test_construction_keeps_its_validation():
         NormalForm([[1, 0], [0, -1]])
     with pytest.raises(TypeError):
         SnfResult(None, None)
-
-
-@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
-def test_trusted_values_equal_their_checked_copies(value, text, fields):
-    cls = type(value)
-    trusted, checked = cls._trusted(*fields), cls(*fields)
-    assert type(trusted) is cls and trusted == checked and checked == trusted
-    assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked) == text
-    with pytest.raises(AttributeError):
-        setattr(trusted, cls.__slots__[0], None)
-
-
-def test_values_the_library_builds_equal_their_checked_copies():
-    nf, cert = reduce_to_normal_form(_GLUING)
-    std = reduce_to_standard(_GLUING)
-    for value, checked in [
-        (nf, NormalForm(nf.block.to_lists())),
-        (cert, ReductionCertificate(cert.input, list(cert.left_factors),
-                                    list(cert.right_factors), cert.output)),
-        (std, ReductionCertificate(std.input, list(std.left_factors),
-                                   list(std.right_factors), std.output)),
-        (parse_certificate_document(certificate_document(std)), std),
-    ]:
-        assert value == checked and hash(value) == hash(checked)
-        assert repr(value) == repr(checked)
-        assert all(type(f) is tuple for f in value._fields() if isinstance(f, (list, tuple)))
 
 
 def test_they_are_no_longer_dataclasses():
