@@ -12,7 +12,6 @@ knows to be in normal form go through the private, unchecked
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .linalg import IntMatrix, ShapeError, _require_int, _Value, smith_normal_form
 
@@ -42,8 +41,7 @@ class Presentation(_Value):
         self._set(num_generators, relations)
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(_Value):
     """Rank plus invariant factors; equal fields mean isomorphic groups.
 
     Factors of 1 are never stored, and a zero invariant factor contributes
@@ -53,31 +51,28 @@ class FgAbelianGroup:
     FgAbelianGroup(rank=1, invariant_factors=())
     """
 
-    rank: int
-    invariant_factors: tuple = field(default=())
+    __slots__ = ("rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "invariant_factors", tuple(self.invariant_factors)
-        )
-        _require_int((self.rank, *self.invariant_factors), "rank and invariant factors")
-        if self.rank < 0:
+    def __init__(self, rank: int, invariant_factors: tuple = ()):
+        factors = tuple(invariant_factors)
+        _require_int((rank, *factors), "rank and invariant factors")
+        if rank < 0:
             raise ValueError("rank must be >= 0")
-        factors = self.invariant_factors
         for f in factors:
             if f < 2:
                 raise ValueError(f"invariant factor {f} < 2 is not stored")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"factors must form a divisibility chain: {factors}")
+        self._set(rank, factors)
 
     @classmethod
     def _trusted(cls, rank, invariant_factors) -> "FgAbelianGroup":
         """Wrap a rank and a factor tuple already in normal form, unchecked."""
         self = object.__new__(cls)
-        d = self.__dict__  # key by key, in field order, to keep the shared-key dict
-        d["rank"] = rank
-        d["invariant_factors"] = invariant_factors
+        set_rank, set_factors = cls._setters
+        set_rank(self, rank)
+        set_factors(self, invariant_factors)
         return self
 
     def __str__(self):

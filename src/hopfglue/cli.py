@@ -14,8 +14,10 @@ validation failure (exit 2), not a crash.
 
 Each process loads only what its command uses.  ``classify`` and
 ``compose`` report the group Z + Z/mu from the integer mu, so they never
-import ``hopfglue.abelian`` (nor the ``dataclasses`` and ``inspect`` it
-pulls in); ``compose`` checks its two routes by comparing their mus.  When
+import ``hopfglue.abelian``; ``compose`` checks its two routes by
+comparing their mus.  Every result type is a ``__slots__`` value class,
+so no command, a sweep included, imports ``dataclasses`` or the
+``inspect`` it would pull in.  When
 the first argument names a command, only that command's subparser is
 built.  ``json`` is imported only to read a document or to print a
 classify, compose or reduce report; sweeps format their JSON and CSV

@@ -18,11 +18,16 @@ to the transpose for column moves) for inverses.  Public constructors
 validate their input; matrices the module builds from ints it already
 holds go through the private, unchecked ``_trusted`` constructors.
 
-Result records (``SnfResult`` here, and the ones the other layers define
-on the same private base) are ``__slots__`` value classes rather than
-dataclasses.  Creating a dataclass costs only about 0.3 ms, but importing
-``dataclasses`` and the ``inspect`` it pulls in costs about 4 ms per
-process, which the commands that build no group no longer pay.
+All eight result types are ``__slots__`` value classes on one private
+base, rather than dataclasses: ``SnfResult`` here, ``Presentation`` and
+``FgAbelianGroup`` in ``abelian``, ``NormalForm`` and
+``ReductionCertificate`` in ``gluing``, and ``SweepSpec``, ``SweepRecord``
+and ``SweepSummary`` in ``sweep``.  The ``dataclasses`` helpers reject
+them, and no module of the package imports ``dataclasses``.  Creating a
+dataclass costs only about 0.3 ms, but importing ``dataclasses`` and the
+``inspect`` it pulls in took about 11 ms of the 33-37 ms that importing
+``hopfglue.sweep`` took with them (``-X importtime`` without bytecode
+files, Python 3.11, 2 CPUs).
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter
 
@@ -37,41 +36,40 @@ def _check_range(name, r):
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Value):
     """What to sweep.
 
     Tuple mode iterates all (a, b, p, c, d, q) in the six inclusive
     ranges, skipping tuples whose halves are not primitive.  Matrix mode
-    evaluates ``sample_count`` seeded random gluing matrices.
+    evaluates ``sample_count`` seeded random gluing matrices.  A true
+    ``homology_hopf_only`` (a bool) keeps only the cells with mu = 1.
     """
 
-    mode: str = TUPLE_MODE
-    a_range: tuple = (0, 0)
-    b_range: tuple = (0, 0)
-    p_range: tuple = (0, 0)
-    c_range: tuple = (0, 0)
-    d_range: tuple = (0, 0)
-    q_range: tuple = (0, 0)
-    sample_count: int = 0
-    seed: int = 0
-    word_length: int = 12
-    homology_hopf_only: bool = False
+    __slots__ = ("mode", "a_range", "b_range", "p_range", "c_range", "d_range",
+                 "q_range", "sample_count", "seed", "word_length",
+                 "homology_hopf_only")
 
-    def __post_init__(self):
-        if self.mode not in (TUPLE_MODE, MATRIX_MODE):
-            raise SweepSpecError(f"unknown mode {self.mode!r}")
-        names = ("a", "b", "p", "c", "d", "q")
-        ranges = [tuple(getattr(self, name + "_range")) for name in names]
+    def __init__(self, mode: str = TUPLE_MODE,
+                 a_range: tuple = (0, 0), b_range: tuple = (0, 0),
+                 p_range: tuple = (0, 0), c_range: tuple = (0, 0),
+                 d_range: tuple = (0, 0), q_range: tuple = (0, 0),
+                 sample_count: int = 0, seed: int = 0, word_length: int = 12,
+                 homology_hopf_only: bool = False):
+        if mode not in (TUPLE_MODE, MATRIX_MODE):
+            raise SweepSpecError(f"unknown mode {mode!r}")
+        ranges = [tuple(r) for r in (a_range, b_range, p_range,
+                                     c_range, d_range, q_range)]
         _require_int(
-            (*chain.from_iterable(ranges),
-             self.sample_count, self.seed, self.word_length),
+            (*chain.from_iterable(ranges), sample_count, seed, word_length),
             "range ends, sample_count, seed and word_length",
         )
-        for name, r in zip(names, ranges):
-            object.__setattr__(self, name + "_range", _check_range(name, r))
-        if self.sample_count < 0:
+        ranges = [_check_range(name, r) for name, r in zip("abpcdq", ranges)]
+        if sample_count < 0:
             raise SweepSpecError("sample_count must be >= 0")
+        if not isinstance(homology_hopf_only, bool):
+            raise TypeError("homology_hopf_only must be bool, "
+                            f"got {type(homology_hopf_only).__name__}")
+        self._set(mode, *ranges, sample_count, seed, word_length, homology_hopf_only)
 
     @classmethod
     def tuples(cls, a, b, p, c, d, q, homology_hopf_only=False):
@@ -94,8 +92,7 @@ class SweepSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Value):
     """One evaluated cell: its parameters or matrix, and its invariants.
 
     ``mu`` is the torsion order of the fundamental group, with 0 encoding
@@ -106,11 +103,11 @@ class SweepRecord:
     once per cell and builds a group only on a miss.
     """
 
-    mu: int
-    homology_hopf: bool
-    group: FgAbelianGroup
-    params: tuple = None
-    matrix: IntMatrix = None
+    __slots__ = ("mu", "homology_hopf", "group", "params", "matrix")
+
+    def __init__(self, mu: int, homology_hopf: bool, group: FgAbelianGroup,
+                 params: tuple = None, matrix: IntMatrix = None):
+        self._set(mu, homology_hopf, group, params, matrix)
 
 
 class SweepSummary(_Value):
@@ -156,15 +153,16 @@ def count_skipped(spec: SweepSpec) -> int:
 
 def _record(mu: int, matrix: IntMatrix) -> SweepRecord:
     # The fields are values the sweep just computed, so the record is built
-    # unchecked, its dict written key by key in field order (which keeps
-    # the compact shared-key dict that SweepRecord(...) gives).
+    # unchecked: object.__new__, then each field stored by its slot setter
+    # from SweepRecord._setters, skipping __init__ and _set's loop.  Like
+    # every value class, a record has no instance __dict__.
+    set_mu, set_hopf, set_group, set_params, set_matrix = SweepRecord._setters
     r = object.__new__(SweepRecord)
-    d = r.__dict__
-    d["mu"] = mu
-    d["homology_hopf"] = mu == 1
-    d["group"] = group_of_mu(mu)
-    d["params"] = None
-    d["matrix"] = matrix
+    set_mu(r, mu)
+    set_hopf(r, mu == 1)
+    set_group(r, group_of_mu(mu))
+    set_params(r, None)
+    set_matrix(r, matrix)
     return r
 
 
@@ -188,6 +186,7 @@ def _tuple_records(spec: SweepSpec):
     gcd = math.gcd
     cached = gluing._GROUPS.get
     new = object.__new__
+    set_mu, set_hopf, set_group, set_params, set_matrix = SweepRecord._setters
     for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
         a, b, p = tp
         r0 = a + p
@@ -197,13 +196,12 @@ def _tuple_records(spec: SweepSpec):
             mu = gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
             # built unchecked, as _record builds it
             r = new(SweepRecord)
-            rd = r.__dict__
-            rd["mu"] = mu
-            rd["homology_hopf"] = mu == 1
+            set_mu(r, mu)
+            set_hopf(r, mu == 1)
             g = cached(mu)
-            rd["group"] = g if g is not None else group_of_mu(mu)
-            rd["params"] = tp + tm
-            rd["matrix"] = None
+            set_group(r, g if g is not None else group_of_mu(mu))
+            set_params(r, tp + tm)
+            set_matrix(r, None)
             yield r
 
 

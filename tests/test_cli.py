@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import enum
 import gc
 import io
@@ -533,7 +532,8 @@ MANY_MU_SPEC = SweepSpec.tuples((1, 1), (0, 0), (0, 99), (1, 1), (0, 0), (0, 99)
 @pytest.mark.parametrize("argv, spec", [
     # 10,000 rows holding about 2,900 distinct mu
     (MANY_MU, MANY_MU_SPEC),
-    (MANY_MU + ("--homology-hopf-only",), dataclasses.replace(MANY_MU_SPEC, homology_hopf_only=True)),
+    (MANY_MU + ("--homology-hopf-only",),
+     SweepSpec.tuples((1, 1), (0, 0), (0, 99), (1, 1), (0, 0), (0, 99), homology_hopf_only=True)),
     # multi-digit matrix entries
     (("--random", "80", "--seed", "13", "--word-length", "192"),
      SweepSpec.matrices(80, seed=13, word_length=192)),
@@ -1106,9 +1106,9 @@ def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
 
 def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
     # reduce and verify build no group, and classify and compose report
-    # Z + Z/mu from the int mu, so neither abelian nor the dataclasses and
-    # inspect modules it pulls in may load for them.  A sweep's records
-    # hold groups.
+    # Z + Z/mu from the int mu, so abelian may not load for them.  A sweep's
+    # records hold groups, but every result type is a value class, so no
+    # command loads dataclasses or the inspect module it pulls in.
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(certificate_document(
         reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
@@ -1119,12 +1119,15 @@ def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
         (["verify", "--file", str(cert)], "0 []\n"),
         (["classify", "--matrix", ZETA_ARG], "0 []\n"),
         (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 []\n"),
-        (["sweep", "--random", "2"], "0 ['hopfglue.abelian'"),
+        (["sweep", "--random", "2"], "0 ['hopfglue.abelian']\n"),
+        (["sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+          "--p-range", "0:2", "--q-range", "0:2", "--format", "csv"],
+         "0 ['hopfglue.abelian']\n"),
     ]
-    for argv, start in expected:
+    for argv, want in expected:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],
                               capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.startswith(start), (argv, proc.stdout)
+        assert proc.stdout == want, (argv, proc.stdout)
 
 
 def test_importing_the_package_loads_the_gluing_layer():

@@ -186,6 +186,17 @@ def test_params_validate_completion():
         LogTransformParams(2, 0, 2)
 
 
+# Third column (0, 0, 1), as (a, b, p) = (0, 0, 1) asks, but determinant -1.
+_SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("completion", [_SWAP, UnimodularMatrix(_SWAP)],
+                         ids=["lists", "unimodular"])
+def test_params_reject_a_completion_of_determinant_minus_one(completion):
+    with pytest.raises(OrientationError, match="^completion must have determinant \\+1$"):
+        LogTransformParams(0, 0, 1, completion=completion)
+
+
 @pytest.mark.parametrize("completion", [[[1, 0], [0, 1]], [[1]]])
 def test_params_reject_a_completion_that_is_not_3x3(completion):
     # both are unimodular, so only the shape check stands before col(2)
@@ -652,6 +663,22 @@ def test_certificate_failure_rejects_an_input_that_is_not_a_gluing(input, reason
         size = (f"an integer of {det.bit_length()} bits" if 0 < limit < 4501
                 else str(det))
         assert certificate_failure(cert) == f"{reason}{size}, expected +1 or -1"
+
+
+@pytest.mark.parametrize("wrap", [GluingMatrix, UnimodularMatrix])
+def test_extendability_and_certificates_read_wrapped_matrices(wrap):
+    assert is_extendable(wrap(IntMatrix([[1, 0, 0], [0, 1, 0], [5, 7, 1]])))
+    assert not is_extendable(wrap(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])))
+    cert = reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(5, 12))))
+    assert cert.left_factors and cert.right_factors
+    wrapped = ReductionCertificate(wrap(cert.input),
+                                   [wrap(f) for f in cert.left_factors],
+                                   [wrap(f) for f in cert.right_factors],
+                                   wrap(cert.output))
+    assert certificate_failure(wrapped) is None
+    swap = wrap(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    tampered = ReductionCertificate(cert.input, cert.left_factors, (swap,), cert.output)
+    assert certificate_failure(tampered) == "right factor 0 is not extendable"
 
 
 def test_certificate_failure_checks_factors_before_the_input():

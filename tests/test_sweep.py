@@ -35,6 +35,13 @@ def nine_cell_spec(**kw):
     )
 
 
+def with_hopf_only(spec, hopf_only=True):
+    """The tuple spec ``spec`` with its ``homology_hopf_only`` set."""
+    return SweepSpec.tuples(spec.a_range, spec.b_range, spec.p_range,
+                            spec.c_range, spec.d_range, spec.q_range,
+                            homology_hopf_only=hopf_only)
+
+
 def test_empty_matrix_sweep():
     assert sweep(SweepSpec.matrices(0)) == []
 
@@ -180,6 +187,19 @@ def test_spec_checks_every_field_in_both_modes(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, kind", [
+    # a truthy str once kept only the mu = 1 cells: 2 of the 16
+    (lambda: SweepSpec.tuples((1, 1), (0, 0), (0, 3), (1, 1), (0, 0), (0, 3),
+                              homology_hopf_only="no"), "str"),
+    (lambda: SweepSpec.matrices(5, seed=1, homology_hopf_only=0.0), "float"),
+    (lambda: SweepSpec.matrices(5, homology_hopf_only=1), "int"),
+    (lambda: SweepSpec(homology_hopf_only=None), "NoneType"),
+], ids=["tuples-str", "matrices-float", "matrices-int", "none"])
+def test_spec_rejects_a_hopf_only_flag_that_is_not_bool(make, kind):
+    with pytest.raises(TypeError, match=f"^homology_hopf_only must be bool, got {kind}$"):
+        make()
+
+
 def test_matrix_spec_stores_a_list_range_as_a_hashable_pair():
     spec = SweepSpec(mode="matrix", sample_count=1, d_range=[5, 6])
     assert spec.d_range == (5, 6)
@@ -211,11 +231,11 @@ def grid_walk(spec):
 @pytest.mark.parametrize("hopf_only", [False, True])
 @pytest.mark.parametrize("spec", ASYMMETRIC_SPECS)
 def test_count_skipped_matches_grid_walk(spec, hopf_only):
-    spec = dataclasses.replace(spec, homology_hopf_only=hopf_only)
+    spec = with_hopf_only(spec, hopf_only)
     kept, skipped = grid_walk(spec)
     assert 0 < skipped < len(kept) + skipped
     assert count_skipped(spec) == skipped
-    records = sweep(dataclasses.replace(spec, homology_hopf_only=False))
+    records = sweep(with_hopf_only(spec, False))
     assert [r.params for r in records] == kept
     if hopf_only:
         assert sweep(spec) == [r for r in records if r.homology_hopf]
@@ -282,7 +302,7 @@ def test_huge_minus_half_yields_at_once_in_bounded_memory():
 @pytest.mark.parametrize("spec", [
     ASYMMETRIC_SPECS[0],
     ASYMMETRIC_SPECS[1],
-    dataclasses.replace(ASYMMETRIC_SPECS[2], homology_hopf_only=True),
+    with_hopf_only(ASYMMETRIC_SPECS[2]),
 ])
 def test_regenerated_minus_half_gives_the_same_records(monkeypatch, spec):
     held = list(iter_sweep(spec))
@@ -308,20 +328,12 @@ EQUIVALENCE_SPECS = ASYMMETRIC_SPECS + [
 def public_copy(r):
     """The record rebuilt through the public, validating constructors."""
     group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
-    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(SweepRecord)}
+    fields = {name: getattr(r, name) for name in SweepRecord.__slots__}
     return SweepRecord(**dict(fields, group=group))
-
-
-def _warm_up_record_dicts():
-    # CPython sizes the first few instance dicts of a class generously and
-    # settles on the compact shared-key size after that; compare only then.
-    for _ in range(5):
-        public_copy(sweep(nine_cell_spec())[0])
 
 
 @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
 def test_unchecked_records_equal_public_ones(spec):
-    _warm_up_record_dicts()
     records = sweep(spec)
     assert records
     for r in records:
@@ -331,20 +343,26 @@ def test_unchecked_records_equal_public_ones(spec):
         assert repr(r) == repr(public)
         assert r.group == public.group and hash(r.group) == hash(public.group)
         assert repr(r.group) == repr(public.group)
-        assert list(r.__dict__) == [f.name for f in dataclasses.fields(SweepRecord)]
-        assert sys.getsizeof(r.__dict__) <= sys.getsizeof(public.__dict__)
+        assert not hasattr(r, "__dict__") and not hasattr(r.group, "__dict__")
 
 
-def test_unchecked_records_stay_frozen_dataclasses():
+def test_unchecked_records_stay_frozen_values():
     r = sweep(nine_cell_spec())[3]
-    assert dataclasses.is_dataclass(r) and dataclasses.is_dataclass(r.group)
-    assert dataclasses.replace(r, mu=r.mu) == r
-    assert dataclasses.replace(r, mu=99).mu == 99
-    assert dataclasses.asdict(r) == dataclasses.asdict(public_copy(r))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    fields = tuple(getattr(r, name) for name in SweepRecord.__slots__)
+    assert SweepRecord(*fields) == r
+    assert fields == tuple(getattr(public_copy(r), name) for name in SweepRecord.__slots__)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'mu'$"):
         r.mu = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'rank'$"):
         r.group.rank = 0
+    with pytest.raises(AttributeError, match="^cannot delete field 'group'$"):
+        del r.group
+    # Value classes, not dataclasses: the dataclasses helpers refuse them.
+    with pytest.raises(TypeError):
+        dataclasses.replace(r, mu=99)
+    with pytest.raises(TypeError):
+        dataclasses.asdict(r.group)
+    assert tuple(getattr(r, name) for name in SweepRecord.__slots__) == fields
 
 
 # --- the one-pass summary -----------------------------------------------------
@@ -368,7 +386,8 @@ def test_homology_hopf_count_counts_the_records_with_mu_one():
     assert 0 < s.homology_hopf_count < s.total
     assert s.homology_hopf_count == sum(1 for r in records if r.mu == 1)
     # The count follows mu, the documented rule, not the record's flag.
-    flipped = [dataclasses.replace(r, homology_hopf=not r.homology_hopf) for r in records]
+    flipped = [SweepRecord(r.mu, not r.homology_hopf, r.group, r.params, r.matrix)
+               for r in records]
     assert summarize(flipped) == s
 
 
@@ -384,7 +403,6 @@ def assert_records_share_the_cached_groups(records):
 
 #: A tuple sweep in a fresh interpreter, whose group cache starts empty.
 _FRESH_CACHE_PROBE = """
-import dataclasses
 from hopfglue import gluing
 from hopfglue.abelian import FgAbelianGroup
 from hopfglue.sweep import SweepRecord, SweepSpec, sweep
@@ -392,7 +410,7 @@ assert gluing._GROUPS == {}
 records = sweep(SweepSpec.tuples(a=(-2, 2), b=(0, 2), p=(-1, 3), c=(0, 4), d=(-2, 0), q=(2, 2)))
 for r in records:
     group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
-    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(SweepRecord)}
+    fields = {name: getattr(r, name) for name in SweepRecord.__slots__}
     public = SweepRecord(**dict(fields, group=group))
     assert r == public and repr(r) == repr(public)
     assert r.group is gluing.group_of_mu(r.mu)
@@ -463,7 +481,7 @@ def test_inline_tuple_loop_over_the_whole_box(monkeypatch, box_groups, held, hop
     assert len(box_groups) == 9604 and count_skipped(BOX) == 15625 - 9604
     if not held:
         monkeypatch.setattr(sweep_module, "_MINUS_HELD", 3)
-    records = list(iter_sweep(dataclasses.replace(BOX, homology_hopf_only=hopf_only)))
+    records = list(iter_sweep(with_hopf_only(BOX, hopf_only)))
     want = [params for params, g in box_groups.items()
             if not hopf_only or g == FgAbelianGroup(1, ())]
     assert [r.params for r in records] == want

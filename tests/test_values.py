@@ -1,9 +1,10 @@
-"""The five result records are immutable value classes with dataclass manners.
+"""The eight result types are immutable value classes with dataclass manners.
 
-``Presentation``, ``SnfResult``, ``NormalForm``, ``ReductionCertificate`` and
-``SweepSummary`` keep the behaviour they had as frozen dataclasses: the same
-fields, construction, repr, equality, hash and immutability.  The reprs
-below were recorded while they were still dataclasses.
+``Presentation``, ``FgAbelianGroup``, ``SnfResult``, ``NormalForm``,
+``ReductionCertificate``, ``SweepSpec``, ``SweepRecord`` and ``SweepSummary``
+keep the behaviour they had as frozen dataclasses: the same fields,
+construction, repr, equality, hash and immutability.  The reprs below were
+recorded while they were still dataclasses.
 """
 
 import copy
@@ -12,18 +13,19 @@ import pickle
 
 import pytest
 
-from hopfglue.abelian import Presentation
+from hopfglue.abelian import FgAbelianGroup, Presentation
 from hopfglue.gluing import (
     GluingMatrix,
     NormalForm,
     ReductionCertificate,
+    group_of_mu,
     normalize_to_sl3,
     reduce_to_normal_form,
     reduce_to_standard,
     standard_gluing_matrix,
 )
 from hopfglue.linalg import IntMatrix, ShapeError, SnfResult, random_sl3, smith_normal_form
-from hopfglue.sweep import SweepSummary, summarize
+from hopfglue.sweep import SweepRecord, SweepSpec, SweepSummary, summarize, sweep
 
 _GLUING = normalize_to_sl3(GluingMatrix(random_sl3(5, 12)))
 
@@ -34,6 +36,8 @@ def _values():
     std = reduce_to_standard(standard_gluing_matrix())
     snf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     n0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    tuple_record = sweep(SweepSpec.tuples((1, 1), (0, 0), (0, 2), (1, 1), (0, 0), (0, 2)))[4]
+    matrix_record = sweep(SweepSpec.matrices(1, seed=2))[0]
     return [
         (Presentation(3, [(1, 0, -1), (0, 0, 1)]),
          "Presentation(num_generators=3, relations=((1, 0, -1), (0, 0, 1)))",
@@ -67,6 +71,43 @@ def _values():
          (3, 1, ((0, 1), (1, 1), (5, 1)))),
         (summarize([]), "SweepSummary(total=0, homology_hopf_count=0, mu_counts=())",
          (0, 0, ())),
+        (FgAbelianGroup(1, ()), "FgAbelianGroup(rank=1, invariant_factors=())", (1, ())),
+        (FgAbelianGroup(0, [2, 6]), "FgAbelianGroup(rank=0, invariant_factors=(2, 6))",
+         (0, (2, 6))),
+        # built unchecked, through FgAbelianGroup._trusted
+        (group_of_mu(6), "FgAbelianGroup(rank=1, invariant_factors=(6,))", (1, (6,))),
+        (SweepSpec(),
+         "SweepSpec(mode='tuple', a_range=(0, 0), b_range=(0, 0), p_range=(0, 0),"
+         " c_range=(0, 0), d_range=(0, 0), q_range=(0, 0), sample_count=0, seed=0,"
+         " word_length=12, homology_hopf_only=False)",
+         ("tuple", (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), 0, 0, 12, False)),
+        (SweepSpec.tuples([1, 1], (0, 0), (0, 2), (1, 1), (0, 0), (0, 2),
+                          homology_hopf_only=True),
+         "SweepSpec(mode='tuple', a_range=(1, 1), b_range=(0, 0), p_range=(0, 2),"
+         " c_range=(1, 1), d_range=(0, 0), q_range=(0, 2), sample_count=0, seed=0,"
+         " word_length=12, homology_hopf_only=True)",
+         ("tuple", (1, 1), (0, 0), (0, 2), (1, 1), (0, 0), (0, 2), 0, 0, 12, True)),
+        (SweepSpec.matrices(5, seed=3, word_length=7),
+         "SweepSpec(mode='matrix', a_range=(0, 0), b_range=(0, 0), p_range=(0, 0),"
+         " c_range=(0, 0), d_range=(0, 0), q_range=(0, 0), sample_count=5, seed=3,"
+         " word_length=7, homology_hopf_only=False)",
+         ("matrix", (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), 5, 3, 7, False)),
+        # built unchecked by the tuple and the matrix sweep
+        (tuple_record,
+         "SweepRecord(mu=3, homology_hopf=False,"
+         " group=FgAbelianGroup(rank=1, invariant_factors=(3,)),"
+         " params=(1, 0, 1, 1, 0, 1), matrix=None)",
+         (3, False, FgAbelianGroup(1, (3,)), (1, 0, 1, 1, 0, 1), None)),
+        (matrix_record,
+         "SweepRecord(mu=1, homology_hopf=True,"
+         " group=FgAbelianGroup(rank=1, invariant_factors=()), params=None,"
+         " matrix=IntMatrix([[7, 10, 3], [3, 5, 1], [-1, -2, 0]]))",
+         (1, True, FgAbelianGroup(1, ()), None,
+          IntMatrix([[7, 10, 3], [3, 5, 1], [-1, -2, 0]]))),
+        (SweepRecord(5, False, FgAbelianGroup(1, (5,))),
+         "SweepRecord(mu=5, homology_hopf=False,"
+         " group=FgAbelianGroup(rank=1, invariant_factors=(5,)), params=None, matrix=None)",
+         (5, False, FgAbelianGroup(1, (5,)), None, None)),
     ]
 
 
@@ -97,8 +138,13 @@ def test_a_differing_field_makes_values_unequal():
     assert NormalForm([[1, 1], [0, 1]]) != NormalForm([[1, 0], [0, 1]])
     i3 = IntMatrix.identity(3)
     assert ReductionCertificate(i3) != ReductionCertificate(i3, output=i3)
+    assert FgAbelianGroup(1, (2,)) != FgAbelianGroup(1, (4,))
+    assert SweepSpec() != SweepSpec(homology_hopf_only=True)
+    g = FgAbelianGroup(1, ())
+    assert SweepRecord(1, True, g) != SweepRecord(1, True, g, params=(1, 0, 0, 0, 1, 0))
     # Same fields in another class are not equal either.
     assert Presentation(0) != SweepSummary(0, 0)
+    assert FgAbelianGroup(0) != Presentation(0)
 
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
@@ -129,6 +175,11 @@ def test_construction_defaults_and_conversions():
     cert = ReductionCertificate(input=IntMatrix.identity(3), left_factors=[], right_factors=[])
     assert (cert.left_factors, cert.right_factors, cert.output) == ((), (), None)
     assert NormalForm(block=[[2, 1], [1, 1]]).block == IntMatrix([[2, 1], [1, 1]])
+    assert FgAbelianGroup(rank=2) == FgAbelianGroup(2, ())
+    assert FgAbelianGroup(rank=0, invariant_factors=[2, 4]).invariant_factors == (2, 4)
+    record = SweepRecord(mu=0, homology_hopf=False, group=FgAbelianGroup(2))
+    assert (record.params, record.matrix) == (None, None)
+    assert SweepSpec(mode="matrix", sample_count=3) == SweepSpec.matrices(3)
 
 
 def test_construction_keeps_its_validation():
