@@ -26,9 +26,11 @@ class Presentation(_Value):
     ((1, 0, -1), (0, 0, 1))
     """
 
-    __slots__ = ("num_generators", "relations")
+    __slots__ = ()
+    __match_args__ = ("num_generators", "relations")
 
-    def __init__(self, num_generators: int, relations: tuple = ()):
+    def __new__(cls, num_generators: int, relations: tuple = ()):
+        _require_int((num_generators,), "num_generators")
         relations = tuple(tuple(row) for row in relations)
         if num_generators < 0:
             raise ValueError("number of generators must be >= 0")
@@ -38,7 +40,8 @@ class Presentation(_Value):
                     f"relation {row!r} has {len(row)} entries, "
                     f"expected {num_generators}"
                 )
-        self._set(num_generators, relations)
+            _require_int(row, "relation entries")
+        return tuple.__new__(cls, (num_generators, relations))
 
 
 class FgAbelianGroup(_Value):
@@ -51,9 +54,10 @@ class FgAbelianGroup(_Value):
     FgAbelianGroup(rank=1, invariant_factors=())
     """
 
-    __slots__ = ("rank", "invariant_factors")
+    __slots__ = ()
+    __match_args__ = ("rank", "invariant_factors")
 
-    def __init__(self, rank: int, invariant_factors: tuple = ()):
+    def __new__(cls, rank: int, invariant_factors: tuple = ()):
         factors = tuple(invariant_factors)
         _require_int((rank, *factors), "rank and invariant factors")
         if rank < 0:
@@ -64,16 +68,12 @@ class FgAbelianGroup(_Value):
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"factors must form a divisibility chain: {factors}")
-        self._set(rank, factors)
+        return tuple.__new__(cls, (rank, factors))
 
     @classmethod
     def _trusted(cls, rank, invariant_factors) -> "FgAbelianGroup":
         """Wrap a rank and a factor tuple already in normal form, unchecked."""
-        self = object.__new__(cls)
-        set_rank, set_factors = cls._setters
-        set_rank(self, rank)
-        set_factors(self, invariant_factors)
-        return self
+        return tuple.__new__(cls, (rank, invariant_factors))
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{f}" for f in self.invariant_factors]

@@ -164,15 +164,16 @@ class NormalForm(_Value):
     data left over after the reduction.
     """
 
-    __slots__ = ("block",)
+    __slots__ = ()
+    __match_args__ = ("block",)
 
-    def __init__(self, block: IntMatrix):
+    def __new__(cls, block: IntMatrix):
         b = block if isinstance(block, IntMatrix) else IntMatrix(block)
         if (b.rows, b.cols) != (2, 2):
             raise ValueError("block must be 2x2")
         if b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] != 1:
             raise ValueError("block must have determinant 1")
-        self._set(b)
+        return tuple.__new__(cls, (b,))
 
     @property
     def matrix(self) -> IntMatrix:
@@ -194,11 +195,12 @@ class ReductionCertificate(_Value):
     plain data and can be re-checked without trusting its producer.
     """
 
-    __slots__ = ("input", "left_factors", "right_factors", "output")
+    __slots__ = ()
+    __match_args__ = ("input", "left_factors", "right_factors", "output")
 
-    def __init__(self, input: IntMatrix, left_factors: tuple = (),
-                 right_factors: tuple = (), output: IntMatrix = None):
-        self._set(input, tuple(left_factors), tuple(right_factors), output)
+    def __new__(cls, input: IntMatrix, left_factors: tuple = (),
+                right_factors: tuple = (), output: IntMatrix = None):
+        return tuple.__new__(cls, (input, tuple(left_factors), tuple(right_factors), output))
 
 
 def _as_matrix(m) -> IntMatrix:

@@ -18,16 +18,21 @@ to the transpose for column moves) for inverses.  Public constructors
 validate their input; matrices the module builds from ints it already
 holds go through the private, unchecked ``_trusted`` constructors.
 
-All eight result types are ``__slots__`` value classes on one private
-base, rather than dataclasses: ``SnfResult`` here, ``Presentation`` and
+All eight result types are immutable value classes on one private base,
+rather than dataclasses: ``SnfResult`` here, ``Presentation`` and
 ``FgAbelianGroup`` in ``abelian``, ``NormalForm`` and
 ``ReductionCertificate`` in ``gluing``, and ``SweepSpec``, ``SweepRecord``
-and ``SweepSummary`` in ``sweep``.  The ``dataclasses`` helpers reject
-them, and no module of the package imports ``dataclasses``.  Creating a
-dataclass costs only about 0.3 ms, but importing ``dataclasses`` and the
-``inspect`` it pulls in took about 11 ms of the 33-37 ms that importing
-``hopfglue.sweep`` took with them (``-X importtime`` without bytecode
-files, Python 3.11, 2 CPUs).
+and ``SweepSummary`` in ``sweep``.  Each is a tuple of its fields, so a
+value the library builds is one ``tuple.__new__`` call; ``len``,
+indexing, unpacking and ``isinstance(v, tuple)`` work on it, ``+`` and
+``*`` give plain tuples, and ``json.dumps`` writes it as an array.  A
+held ``SweepRecord`` takes 185 bytes, against 169 as a ``__slots__``
+class, since the tuple allocator reserves one spare item.  The
+``dataclasses`` helpers reject these types, and no module of the package
+imports ``dataclasses``.  Creating a dataclass costs only about 0.3 ms,
+but importing ``dataclasses`` and the ``inspect`` it pulls in took about
+11 ms of the 33-37 ms that importing ``hopfglue.sweep`` took with them
+(``-X importtime`` without bytecode files, Python 3.11, 2 CPUs).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from operator import itemgetter
 
 
 class ShapeError(ValueError):
@@ -97,10 +103,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _require_int((n,), "n")
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        _require_int((rows, cols), "rows and cols")
         return cls([[0] * cols for _ in range(rows)])
 
     @property
@@ -142,6 +150,10 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         return hash(self._rows)
+
+    def __reduce__(self):
+        # Without it, pickle protocols 0 and 1 refuse a __slots__ class.
+        return (IntMatrix, (self._rows,))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
@@ -192,33 +204,35 @@ class UnimodularMatrix:
     def __hash__(self) -> int:
         return hash((UnimodularMatrix, self.m))
 
+    def __reduce__(self):
+        return (UnimodularMatrix, (self.m,))
+
     def __repr__(self) -> str:
         return f"UnimodularMatrix({self.m.to_lists()!r})"
 
 
-class _Value:
-    """Base of the immutable value classes: fields are the ``__slots__``.
+class _Value(tuple):
+    """Base of the immutable value classes: a tuple of the fields.
 
-    Like a frozen dataclass, an instance is equal to another of the same
-    class with equal fields, hashes as the tuple of its fields, has the
-    repr ``Name(field=value, ...)``, and refuses assignment and deletion.
-    A subclass's ``__init__`` validates and then stores its fields with
-    ``_set``.  Copies and pickles are rebuilt through ``__init__``.
+    A subclass declares ``__slots__ = ()``, so it has no ``__dict__``, and
+    names its fields once, in order, as ``__match_args__``; each field is
+    then a read-only property reading its item.  A subclass's ``__new__``
+    validates and returns ``tuple.__new__(cls, fields)``.
+
+    Like a frozen dataclass, an instance is equal only to another of the
+    same class with equal fields (never to a plain tuple, nor to a value
+    of another class with the same fields), hashes as the tuple of its
+    fields, has the repr ``Name(field=value, ...)``, refuses assignment
+    and deletion, cannot be ordered against another value, and is copied
+    and pickled through its constructor.  Being a tuple, it also has a
+    length, items and unpacking.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
-        # The slot descriptors' own setters: assignment is refused below.
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _set(self, *values) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        for i, name in enumerate(cls.__match_args__):
+            setattr(cls, name, property(itemgetter(i)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -226,20 +240,32 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    # Against any other tuple these answer False/True themselves: given
+    # NotImplemented, the plain tuple's comparison would decide, and
+    # tuple(v) == v would be true.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return (type(self), self._fields())
+        return (type(self), tuple(self))
 
 
 class SnfResult(_Value):
@@ -250,10 +276,11 @@ class SnfResult(_Value):
     are unimodular.
     """
 
-    __slots__ = ("u", "d", "v")
+    __slots__ = ()
+    __match_args__ = ("u", "d", "v")
 
-    def __init__(self, u: UnimodularMatrix, d: IntMatrix, v: UnimodularMatrix):
-        self._set(u, d, v)
+    def __new__(cls, u: UnimodularMatrix, d: IntMatrix, v: UnimodularMatrix):
+        return tuple.__new__(cls, (u, d, v))
 
     def diagonal(self) -> tuple:
         n = min(self.d.rows, self.d.cols)

@@ -45,16 +45,17 @@ class SweepSpec(_Value):
     ``homology_hopf_only`` (a bool) keeps only the cells with mu = 1.
     """
 
-    __slots__ = ("mode", "a_range", "b_range", "p_range", "c_range", "d_range",
-                 "q_range", "sample_count", "seed", "word_length",
-                 "homology_hopf_only")
+    __slots__ = ()
+    __match_args__ = ("mode", "a_range", "b_range", "p_range", "c_range", "d_range",
+                      "q_range", "sample_count", "seed", "word_length",
+                      "homology_hopf_only")
 
-    def __init__(self, mode: str = TUPLE_MODE,
-                 a_range: tuple = (0, 0), b_range: tuple = (0, 0),
-                 p_range: tuple = (0, 0), c_range: tuple = (0, 0),
-                 d_range: tuple = (0, 0), q_range: tuple = (0, 0),
-                 sample_count: int = 0, seed: int = 0, word_length: int = 12,
-                 homology_hopf_only: bool = False):
+    def __new__(cls, mode: str = TUPLE_MODE,
+                a_range: tuple = (0, 0), b_range: tuple = (0, 0),
+                p_range: tuple = (0, 0), c_range: tuple = (0, 0),
+                d_range: tuple = (0, 0), q_range: tuple = (0, 0),
+                sample_count: int = 0, seed: int = 0, word_length: int = 12,
+                homology_hopf_only: bool = False):
         if mode not in (TUPLE_MODE, MATRIX_MODE):
             raise SweepSpecError(f"unknown mode {mode!r}")
         ranges = [tuple(r) for r in (a_range, b_range, p_range,
@@ -69,7 +70,8 @@ class SweepSpec(_Value):
         if not isinstance(homology_hopf_only, bool):
             raise TypeError("homology_hopf_only must be bool, "
                             f"got {type(homology_hopf_only).__name__}")
-        self._set(mode, *ranges, sample_count, seed, word_length, homology_hopf_only)
+        return tuple.__new__(cls, (mode, *ranges, sample_count, seed, word_length,
+                                   homology_hopf_only))
 
     @classmethod
     def tuples(cls, a, b, p, c, d, q, homology_hopf_only=False):
@@ -103,11 +105,12 @@ class SweepRecord(_Value):
     once per cell and builds a group only on a miss.
     """
 
-    __slots__ = ("mu", "homology_hopf", "group", "params", "matrix")
+    __slots__ = ()
+    __match_args__ = ("mu", "homology_hopf", "group", "params", "matrix")
 
-    def __init__(self, mu: int, homology_hopf: bool, group: FgAbelianGroup,
-                 params: tuple = None, matrix: IntMatrix = None):
-        self._set(mu, homology_hopf, group, params, matrix)
+    def __new__(cls, mu: int, homology_hopf: bool, group: FgAbelianGroup,
+                params: tuple = None, matrix: IntMatrix = None):
+        return tuple.__new__(cls, (mu, homology_hopf, group, params, matrix))
 
 
 class SweepSummary(_Value):
@@ -116,10 +119,11 @@ class SweepSummary(_Value):
     ``mu_counts`` holds ``(mu, count)`` pairs in ascending ``mu``.
     """
 
-    __slots__ = ("total", "homology_hopf_count", "mu_counts")
+    __slots__ = ()
+    __match_args__ = ("total", "homology_hopf_count", "mu_counts")
 
-    def __init__(self, total: int, homology_hopf_count: int, mu_counts: tuple = ()):
-        self._set(total, homology_hopf_count, mu_counts)
+    def __new__(cls, total: int, homology_hopf_count: int, mu_counts: tuple = ()):
+        return tuple.__new__(cls, (total, homology_hopf_count, mu_counts))
 
     def mu_histogram(self) -> dict:
         return dict(self.mu_counts)
@@ -152,18 +156,10 @@ def count_skipped(spec: SweepSpec) -> int:
 
 
 def _record(mu: int, matrix: IntMatrix) -> SweepRecord:
-    # The fields are values the sweep just computed, so the record is built
-    # unchecked: object.__new__, then each field stored by its slot setter
-    # from SweepRecord._setters, skipping __init__ and _set's loop.  Like
-    # every value class, a record has no instance __dict__.
-    set_mu, set_hopf, set_group, set_params, set_matrix = SweepRecord._setters
-    r = object.__new__(SweepRecord)
-    set_mu(r, mu)
-    set_hopf(r, mu == 1)
-    set_group(r, group_of_mu(mu))
-    set_params(r, None)
-    set_matrix(r, matrix)
-    return r
+    # The fields are values the sweep just computed, so the record, a tuple
+    # of its fields, is built unchecked: one tuple.__new__ call, which
+    # skips SweepRecord.__new__ and its argument binding.
+    return tuple.__new__(SweepRecord, (mu, mu == 1, group_of_mu(mu), None, matrix))
 
 
 #: The most primitive minus-triples a tuple sweep holds in memory; past
@@ -185,8 +181,7 @@ def _tuple_records(spec: SweepSpec):
         held = None
     gcd = math.gcd
     cached = gluing._GROUPS.get
-    new = object.__new__
-    set_mu, set_hopf, set_group, set_params, set_matrix = SweepRecord._setters
+    new = tuple.__new__
     for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
         a, b, p = tp
         r0 = a + p
@@ -194,15 +189,10 @@ def _tuple_records(spec: SweepSpec):
             c, d, q = tm
             # gluing._two_log_mu, with a + p hoisted out of the minus loop
             mu = gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
-            # built unchecked, as _record builds it
-            r = new(SweepRecord)
-            set_mu(r, mu)
-            set_hopf(r, mu == 1)
             g = cached(mu)
-            set_group(r, g if g is not None else group_of_mu(mu))
-            set_params(r, tp + tm)
-            set_matrix(r, None)
-            yield r
+            # built unchecked, as _record builds it
+            yield new(SweepRecord, (mu, mu == 1, g if g is not None else group_of_mu(mu),
+                                    tp + tm, None))
 
 
 def iter_sweep(spec: SweepSpec):

@@ -157,6 +157,18 @@ def test_presentation_rejects_negative_generator_count():
         Presentation(-1)
 
 
+@pytest.mark.parametrize("gens, relations, message", [
+    (True, [(1,)], "num_generators must be int, got bool"),
+    (1.5, (), "num_generators must be int, got float"),
+    (2.0, [(1, 0)], "num_generators must be int, got float"),
+    (2, [(1, 0.5)], "relation entries must be int, got float"),
+    (2, [(0, 1), (True, 0)], "relation entries must be int, got bool"),
+])
+def test_presentation_rejects_non_int_fields(gens, relations, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Presentation(gens, relations)
+
+
 @pytest.mark.parametrize("rank, factors", [(1.5, ()), (1.0, ()), (1, (2.0,)), (0, (2, 4.0))])
 def test_group_rejects_non_int_fields(rank, factors):
     with pytest.raises(TypeError, match="rank and invariant factors must be int, got float"):

@@ -632,6 +632,18 @@ def test_matrix_rejects_bool_entries(rows):
         IntMatrix(rows)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (IntMatrix.identity, (True,), "n must be int, got bool"),
+    (IntMatrix.identity, (2.0,), "n must be int, got float"),
+    (IntMatrix.zeros, (2, 1.0), "rows and cols must be int, got float"),
+    (IntMatrix.zeros, (2.0, 1), "rows and cols must be int, got float"),
+    (IntMatrix.zeros, (False, 1), "rows and cols must be int, got bool"),
+])
+def test_matrix_sizes_must_be_int(build, args, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build(*args)
+
+
 @pytest.mark.parametrize("v", [(True, False, 1), (1, False, 0), (0, 0, True)])
 def test_completion_rejects_bool_entries(v):
     with pytest.raises(TypeError, match="entries must be int, got bool"):

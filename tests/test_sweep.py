@@ -328,7 +328,7 @@ EQUIVALENCE_SPECS = ASYMMETRIC_SPECS + [
 def public_copy(r):
     """The record rebuilt through the public, validating constructors."""
     group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
-    fields = {name: getattr(r, name) for name in SweepRecord.__slots__}
+    fields = {name: getattr(r, name) for name in SweepRecord.__match_args__}
     return SweepRecord(**dict(fields, group=group))
 
 
@@ -348,9 +348,9 @@ def test_unchecked_records_equal_public_ones(spec):
 
 def test_unchecked_records_stay_frozen_values():
     r = sweep(nine_cell_spec())[3]
-    fields = tuple(getattr(r, name) for name in SweepRecord.__slots__)
+    fields = tuple(getattr(r, name) for name in SweepRecord.__match_args__)
     assert SweepRecord(*fields) == r
-    assert fields == tuple(getattr(public_copy(r), name) for name in SweepRecord.__slots__)
+    assert fields == tuple(getattr(public_copy(r), name) for name in SweepRecord.__match_args__)
     with pytest.raises(AttributeError, match="^cannot assign to field 'mu'$"):
         r.mu = 5
     with pytest.raises(AttributeError, match="^cannot assign to field 'rank'$"):
@@ -362,7 +362,7 @@ def test_unchecked_records_stay_frozen_values():
         dataclasses.replace(r, mu=99)
     with pytest.raises(TypeError):
         dataclasses.asdict(r.group)
-    assert tuple(getattr(r, name) for name in SweepRecord.__slots__) == fields
+    assert tuple(getattr(r, name) for name in SweepRecord.__match_args__) == fields
 
 
 # --- the one-pass summary -----------------------------------------------------
@@ -410,7 +410,7 @@ assert gluing._GROUPS == {}
 records = sweep(SweepSpec.tuples(a=(-2, 2), b=(0, 2), p=(-1, 3), c=(0, 4), d=(-2, 0), q=(2, 2)))
 for r in records:
     group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
-    fields = {name: getattr(r, name) for name in SweepRecord.__slots__}
+    fields = {name: getattr(r, name) for name in SweepRecord.__match_args__}
     public = SweepRecord(**dict(fields, group=group))
     assert r == public and repr(r) == repr(public)
     assert r.group is gluing.group_of_mu(r.mu)

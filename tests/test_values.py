@@ -4,11 +4,13 @@
 ``ReductionCertificate``, ``SweepSpec``, ``SweepRecord`` and ``SweepSummary``
 keep the behaviour they had as frozen dataclasses: the same fields,
 construction, repr, equality, hash and immutability.  The reprs below were
-recorded while they were still dataclasses.
+recorded while they were still dataclasses.  Each is now a tuple of its
+fields, which it names in order as ``__match_args__``.
 """
 
 import copy
 import dataclasses
+import operator
 import pickle
 
 import pytest
@@ -24,7 +26,14 @@ from hopfglue.gluing import (
     reduce_to_standard,
     standard_gluing_matrix,
 )
-from hopfglue.linalg import IntMatrix, ShapeError, SnfResult, random_sl3, smith_normal_form
+from hopfglue.linalg import (
+    IntMatrix,
+    ShapeError,
+    SnfResult,
+    _Value,
+    random_sl3,
+    smith_normal_form,
+)
 from hopfglue.sweep import SweepRecord, SweepSpec, SweepSummary, summarize, sweep
 
 _GLUING = normalize_to_sl3(GluingMatrix(random_sl3(5, 12)))
@@ -112,6 +121,19 @@ def _values():
 
 
 VALUES = _values()
+
+#: Each class's field names, in order, as the dataclasses declared them.
+FIELD_NAMES = {
+    Presentation: ("num_generators", "relations"),
+    FgAbelianGroup: ("rank", "invariant_factors"),
+    SnfResult: ("u", "d", "v"),
+    NormalForm: ("block",),
+    ReductionCertificate: ("input", "left_factors", "right_factors", "output"),
+    SweepSpec: ("mode", "a_range", "b_range", "p_range", "c_range", "d_range", "q_range",
+                "sample_count", "seed", "word_length", "homology_hopf_only"),
+    SweepRecord: ("mu", "homology_hopf", "group", "params", "matrix"),
+    SweepSummary: ("total", "homology_hopf_count", "mu_counts"),
+}
 IDS = [f"{type(v).__name__}-{i}" for i, (v, _, _) in enumerate(VALUES)]
 
 
@@ -123,13 +145,14 @@ def test_repr_is_the_recorded_dataclass_repr(value, text, fields):
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
 def test_fields_equality_and_hash(value, text, fields):
     cls = type(value)
-    assert tuple(getattr(value, name) for name in cls.__slots__) == fields
-    assert cls.__match_args__ == cls.__slots__
+    assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+    assert cls.__slots__ == ()
+    assert cls.__match_args__ == FIELD_NAMES[cls]
     twin = cls(*fields)
     assert twin == value and not twin != value
     assert hash(twin) == hash(value) == hash(fields)
     assert value != fields and value != object()
-    assert twin == cls(**dict(zip(cls.__slots__, fields)))
+    assert twin == cls(**dict(zip(cls.__match_args__, fields)))
 
 
 def test_a_differing_field_makes_values_unequal():
@@ -149,7 +172,7 @@ def test_a_differing_field_makes_values_unequal():
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(value, text, fields):
-    for name in type(value).__slots__:
+    for name in type(value).__match_args__:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -157,7 +180,7 @@ def test_fields_cannot_be_assigned_or_deleted(value, text, fields):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "__dict__")
-    assert tuple(getattr(value, name) for name in type(value).__slots__) == fields
+    assert tuple(getattr(value, name) for name in type(value).__match_args__) == fields
 
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
@@ -166,6 +189,60 @@ def test_copies_and_pickles_are_equal_values(value, text, fields):
                  pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+# --- manners that come with holding the fields as tuple items -----------------
+
+
+@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
+def test_a_value_is_the_tuple_of_its_fields(value, text, fields):
+    assert isinstance(value, tuple) and tuple(value) == fields
+    assert len(value) == len(type(value).__match_args__)
+    assert type(value + ()) is tuple and value + () == fields
+    assert type(value * 1) is tuple
+
+
+@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
+def test_a_value_never_equals_another_tuple(value, text, fields):
+    plain = tuple(value)
+    assert value != plain and plain != value
+    assert not (value == plain) and not (plain == value)
+    # A value of another class with the same fields is not equal either.
+    other_class = type("Other", (_Value,), {"__slots__": (),
+                                            "__match_args__": type(value).__match_args__})
+    other = tuple.__new__(other_class, fields)
+    assert value != other and other != value
+    assert not (value == other) and not (other == value)
+
+
+@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
+def test_values_are_not_ordered(value, text, fields):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            compare(value, value)
+
+
+@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
+def test_pickles_on_every_protocol_rebuild_the_value(value, text, fields):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(value, protocol))
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
+def test_a_class_pattern_binds_the_first_fields(value, text, fields):
+    cls = type(value)
+    match value:
+        case NormalForm(block):
+            bound = (block,)
+        case cls(first, second):
+            bound = (first, second)
+        case _:
+            bound = None
+    assert bound == fields[:2]
+    match tuple(value):
+        case cls():
+            pytest.fail("a plain tuple matched a value class pattern")
 
 
 def test_construction_defaults_and_conversions():
