@@ -16,13 +16,12 @@ The package has four layers:
 A command-line interface lives in :mod:`hopfglue.cli` (installed as the
 ``hopfglue`` script).
 
-Importing the package loads :mod:`hopfglue.linalg` and
-:mod:`hopfglue.gluing`.  Every exported name is listed once, under its
-submodule, in ``_EXPORTS``, and is bound on first access (PEP 562)
-together with the other names of that submodule.  The names from
-:mod:`hopfglue.abelian` and :mod:`hopfglue.sweep` import their module
-then, and so does building the first group, so ``reduce`` and
-``verify``, which build none, import neither.  The function
+Importing the package loads :mod:`hopfglue.linalg`,
+:mod:`hopfglue.abelian` and :mod:`hopfglue.gluing`.  Every exported name
+is listed once, under its submodule, in ``_EXPORTS``, and is bound on
+first access (PEP 562) together with the other names of that submodule.
+The names from :mod:`hopfglue.sweep` import their module then, so
+commands other than ``sweep`` never load it.  The function
 ``hopfglue.sweep`` shares its name with that submodule, and stays the
 function after the submodule is imported.
 """
@@ -31,7 +30,7 @@ import sys
 import types
 from importlib import import_module
 
-from . import gluing, linalg
+from . import abelian, gluing, linalg
 
 #: Each submodule with the names the package exports from it.
 _EXPORTS = {

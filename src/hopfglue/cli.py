@@ -13,12 +13,12 @@ integer too long for the interpreter's int/str conversion limit is a
 validation failure (exit 2), not a crash.
 
 Each process loads only what its command uses.  ``classify`` and
-``compose`` report the group Z + Z/mu from the integer mu, so they never
-import ``hopfglue.abelian``; ``compose`` checks its two routes by
-comparing their mus.  Every result type is an immutable tuple of its
-fields, not a dataclass, so no command, a sweep included, imports
-``dataclasses`` or the ``inspect`` it would pull in.  When the first
-argument names a command, only that command's subparser is built.
+``compose`` report the group Z + Z/mu from the integer mu without
+building it; ``compose`` checks its two routes by comparing their mus.
+Every result type is an immutable tuple of its fields, not a dataclass,
+so no command, a sweep included, imports ``dataclasses`` or the
+``inspect`` it would pull in.  When the first argument names a command,
+only that command's subparser is built.
 ``json`` is imported only to read a document or to print a classify,
 compose or reduce report; sweeps format their JSON and CSV directly.  A
 sweep writes its header at once and then its rows in chunks of about a

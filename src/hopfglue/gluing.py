@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 
+from .abelian import FgAbelianGroup
 from .linalg import (
     IntMatrix,
     NotPrimitiveError,
@@ -38,13 +39,6 @@ from .linalg import (
     extended_gcd,
     inverse_unimodular,
 )
-
-# The annotations name FgAbelianGroup, but abelian loads only when the first
-# group is built.  Type checkers read TYPE_CHECKING as true; taking it from
-# typing would import typing, which the CLI otherwise never loads.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .abelian import FgAbelianGroup
 
 #: Serialization tag for the basis/composition convention fixed above.
 CONVENTION = "columns-are-images-alpha-beta-gamma"
@@ -271,8 +265,7 @@ def _rank_and_factors(mu: int) -> tuple:
 
 #: Shared groups by mu.  Groups are immutable, so every caller may hold
 #: the same instance; past _GROUPS_MAX entries new groups are not kept.
-#: The first miss imports abelian and puts in the free groups, mu 0 and 1.
-_GROUPS = {}
+_GROUPS = {mu: FgAbelianGroup(*_rank_and_factors(mu)) for mu in (0, 1)}
 _GROUPS_MAX = 4096
 
 
@@ -280,18 +273,9 @@ def group_of_mu(mu: int) -> FgAbelianGroup:
     """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
     g = _GROUPS.get(mu)
     if g is None:
-        if not _GROUPS:
-            from .abelian import FgAbelianGroup
-
-            # One update, so no other thread sees one free group without the other.
-            _GROUPS.update({0: FgAbelianGroup(*_rank_and_factors(0)),
-                            1: FgAbelianGroup(*_rank_and_factors(1))})
-            return group_of_mu(mu)
-        # The class of the free groups, which stay cached: taking it from
-        # them costs far less than an import statement on every miss.
-        group = type(_GROUPS[0])
         # Z/mu is already in normal form for mu >= 2; anything else raises.
-        g = (group._trusted if mu >= 2 else group)(*_rank_and_factors(mu))
+        group = FgAbelianGroup._trusted if mu >= 2 else FgAbelianGroup
+        g = group(*_rank_and_factors(mu))
         if len(_GROUPS) < _GROUPS_MAX:
             _GROUPS[mu] = g
     return g

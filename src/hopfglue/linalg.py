@@ -29,10 +29,7 @@ indexing, unpacking and ``isinstance(v, tuple)`` work on it, ``+`` and
 held ``SweepRecord`` takes 185 bytes, against 169 as a ``__slots__``
 class, since the tuple allocator reserves one spare item.  The
 ``dataclasses`` helpers reject these types, and no module of the package
-imports ``dataclasses``.  Creating a dataclass costs only about 0.3 ms,
-but importing ``dataclasses`` and the ``inspect`` it pulls in took about
-11 ms of the 33-37 ms that importing ``hopfglue.sweep`` took with them
-(``-X importtime`` without bytecode files, Python 3.11, 2 CPUs).
+imports ``dataclasses``.
 """
 
 from __future__ import annotations

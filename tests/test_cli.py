@@ -1070,6 +1070,34 @@ def test_sweep_bad_range_integer_exits_two(capsys):
     assert err.startswith("error: bad integer in --p-range: ")
 
 
+# A value that starts with "-" must be joined to its option with "=": argparse
+# reads a separate "-1,0" as an option and exits 2 with "expected one argument".
+NEGATIVE_FIRST_ENTRY = {
+    "--matrix": ["classify", "--matrix=-1,0,1,0,-1,0,0,0,1"],
+    "--plus": ["compose", "--plus=-1,0,1", "--minus", "0,1,1"],
+    "--minus": ["compose", "--plus", "0,1,1", "--minus=-1,0,1"],
+    "--plus-completion": ["compose", "--plus=-1,0,1", "--minus", "0,1,1",
+                          "--plus-completion=-1,0,-1,0,-1,0,0,0,1"],
+    "--minus-completion": ["compose", "--plus", "0,1,1", "--minus=-1,0,1",
+                           "--minus-completion=-1,0,-1,0,-1,0,0,0,1"],
+    "--direction-plus": ["sweep", "--direction-plus=-1,0", "--direction-minus", "0,1",
+                         "--p-range", "0:1", "--q-range", "0:1"],
+    "--direction-minus": ["sweep", "--direction-plus", "1,0", "--direction-minus=-1,0",
+                          "--p-range", "0:1", "--q-range", "0:1"],
+    "--p-range": ["sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+                  "--p-range=-1:1", "--q-range", "0:1"],
+    "--q-range": ["sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+                  "--p-range", "0:1", "--q-range=-1:1"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(NEGATIVE_FIRST_ENTRY))
+def test_negative_first_entry_in_equals_form_exits_zero(capsys, option):
+    code, out, err = run(capsys, *NEGATIVE_FIRST_ENTRY[option])
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_importing_the_cli_leaves_selftest_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = "import sys, hopfglue.cli; print('hopfglue.selftest' in sys.modules)"
@@ -1104,25 +1132,24 @@ def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
         assert proc.stdout == "0 []\n", argv
 
 
-def test_only_the_commands_that_build_a_group_load_abelian(tmp_path):
-    # reduce and verify build no group, and classify and compose report
-    # Z + Z/mu from the int mu, so abelian may not load for them.  A sweep's
-    # records hold groups, but every result type is a value class, so no
-    # command loads dataclasses or the inspect module it pulls in.
+def test_no_command_loads_dataclasses_and_only_sweep_loads_the_sweep_module(tmp_path):
+    # Every result type is a value class, so no command loads dataclasses or
+    # the inspect module it pulls in, a sweep's records included.
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(certificate_document(
         reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
-    probe = _MAIN_PROBE_OF % (("hopfglue.abelian", "dataclasses", "inspect"),)
+    probe = _MAIN_PROBE_OF % (("hopfglue.abelian", "hopfglue.sweep", "dataclasses",
+                               "inspect"),)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     expected = [
-        (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], "0 []\n"),
-        (["verify", "--file", str(cert)], "0 []\n"),
-        (["classify", "--matrix", ZETA_ARG], "0 []\n"),
-        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 []\n"),
-        (["sweep", "--random", "2"], "0 ['hopfglue.abelian']\n"),
+        (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], "0 ['hopfglue.abelian']\n"),
+        (["verify", "--file", str(cert)], "0 ['hopfglue.abelian']\n"),
+        (["classify", "--matrix", ZETA_ARG], "0 ['hopfglue.abelian']\n"),
+        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 ['hopfglue.abelian']\n"),
+        (["sweep", "--random", "2"], "0 ['hopfglue.abelian', 'hopfglue.sweep']\n"),
         (["sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
           "--p-range", "0:2", "--q-range", "0:2", "--format", "csv"],
-         "0 ['hopfglue.abelian']\n"),
+         "0 ['hopfglue.abelian', 'hopfglue.sweep']\n"),
     ]
     for argv, want in expected:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],

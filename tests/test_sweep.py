@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import math
 import os
@@ -401,12 +402,12 @@ def assert_records_share_the_cached_groups(records):
         assert r.group is gluing.group_of_mu(r.mu)
 
 
-#: A tuple sweep in a fresh interpreter, whose group cache starts empty.
+#: A tuple sweep in a fresh interpreter, with the group cache emptied first.
 _FRESH_CACHE_PROBE = """
 from hopfglue import gluing
 from hopfglue.abelian import FgAbelianGroup
 from hopfglue.sweep import SweepRecord, SweepSpec, sweep
-assert gluing._GROUPS == {}
+gluing._GROUPS = {}
 records = sweep(SweepSpec.tuples(a=(-2, 2), b=(0, 2), p=(-1, 3), c=(0, 4), d=(-2, 0), q=(2, 2)))
 for r in records:
     group = FgAbelianGroup(r.group.rank, r.group.invariant_factors)
@@ -502,35 +503,31 @@ def test_group_cache_stays_at_its_bound(monkeypatch):
         assert hash(g) == hash(FgAbelianGroup(1, (mu,)))
     assert len(fresh) == bound
     assert gluing.group_of_mu(2) is gluing.group_of_mu(2)
-    assert gluing.group_of_mu(0) == FgAbelianGroup(2, ())
-    assert gluing.group_of_mu(1) == FgAbelianGroup(1, ())
+    assert gluing.group_of_mu(0) is fresh[0] and fresh[0] == FgAbelianGroup(2, ())
+    assert gluing.group_of_mu(1) is fresh[1] and fresh[1] == FgAbelianGroup(1, ())
     assert len(fresh) == bound
 
 
-#: Builds groups in a fresh interpreter, first the one for mu = argv[1], then
-#: enough others to fill the cache, and checks the free groups stay shared.
-_SHARED_GROUPS_PROBE = """
-import sys
-from hopfglue import gluing
-assert gluing._GROUPS == {} and "hopfglue.abelian" not in sys.modules
-gluing.group_of_mu(int(sys.argv[1]))
-free = gluing.group_of_mu(0), gluing.group_of_mu(1)
-assert gluing.group_of_mu(0) is free[0] and gluing.group_of_mu(1) is free[1]
-for mu in range(2, 2 * gluing._GROUPS_MAX):
-    gluing.group_of_mu(mu)
-assert len(gluing._GROUPS) == gluing._GROUPS_MAX
-assert gluing.group_of_mu(0) is free[0] and gluing.group_of_mu(1) is free[1]
-print(free[0], "|", free[1])
-"""
+def test_group_cache_starts_as_the_two_free_groups():
+    # A second copy of the module, run from its source, shows the cache as
+    # every import leaves it.
+    spec = importlib.util.spec_from_file_location("hopfglue._gluing_copy", gluing.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy._GROUPS == {0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())}
 
 
 @pytest.mark.parametrize("first_mu", [0, 1, 6])
-def test_free_groups_are_shared_from_the_first_group_built(first_mu):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _SHARED_GROUPS_PROBE, str(first_mu)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "Z + Z | Z\n"
+def test_free_groups_are_shared_from_the_first_group_built(monkeypatch, first_mu):
+    # From an emptied cache, mu 0 and 1 are built by the rule every mu follows.
+    monkeypatch.setattr(gluing, "_GROUPS", {})
+    gluing.group_of_mu(first_mu)
+    free = gluing.group_of_mu(0), gluing.group_of_mu(1)
+    assert free == (FgAbelianGroup(2, ()), FgAbelianGroup(1, ()))
+    for mu in range(2, 2 * gluing._GROUPS_MAX):
+        gluing.group_of_mu(mu)
+    assert len(gluing._GROUPS) == gluing._GROUPS_MAX
+    assert gluing.group_of_mu(0) is free[0] and gluing.group_of_mu(1) is free[1]
 
 
 def test_public_group_constructor_keeps_its_checks():
