@@ -3,10 +3,8 @@
 A group is stored as a free rank plus an ascending chain of invariant
 factors (each >= 2, each dividing the next), which makes isomorphism a
 field-by-field comparison.  Groups are computed from integer relation
-matrices as cokernels, via Smith normal form.  The public constructor
-validates its input; groups the library builds from values it already
-knows to be in normal form go through the private, unchecked
-``_trusted`` constructor.
+matrices as cokernels, via Smith normal form.  The constructor
+validates its input, also for the groups the library builds itself.
 """
 
 from __future__ import annotations
@@ -69,11 +67,6 @@ class FgAbelianGroup(_Value):
             if b % a != 0:
                 raise ValueError(f"factors must form a divisibility chain: {factors}")
         return tuple.__new__(cls, (rank, factors))
-
-    @classmethod
-    def _trusted(cls, rank, invariant_factors) -> "FgAbelianGroup":
-        """Wrap a rank and a factor tuple already in normal form, unchecked."""
-        return tuple.__new__(cls, (rank, invariant_factors))
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{f}" for f in self.invariant_factors]

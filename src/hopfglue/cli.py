@@ -12,13 +12,13 @@ identical inputs produce byte-identical output.  A result holding an
 integer too long for the interpreter's int/str conversion limit is a
 validation failure (exit 2), not a crash.
 
-Each process loads only what its command uses.  ``classify`` and
-``compose`` report the group Z + Z/mu from the integer mu without
-building it; ``compose`` checks its two routes by comparing their mus.
-Every result type is an immutable tuple of its fields, not a dataclass,
-so no command, a sweep included, imports ``dataclasses`` or the
-``inspect`` it would pull in.  When the first argument names a command,
-only that command's subparser is built.
+Every process loads the four layers, sweep included; only ``selftest``
+loads :mod:`hopfglue.selftest`.  ``classify`` and ``compose`` report the
+group Z + Z/mu from the integer mu without building it; ``compose``
+checks its two routes by comparing their mus.  Every result type is an
+immutable tuple of its fields, not a dataclass, so no command imports
+``dataclasses`` or the ``inspect`` it would pull in.  When the first
+argument names a command, only that command's subparser is built.
 ``json`` is imported only to read a document or to print a classify,
 compose or reduce report; sweeps format their JSON and CSV directly.  A
 sweep writes its header at once and then its rows in chunks of about a
@@ -63,6 +63,7 @@ from .gluing import (
     reduce_to_standard,
 )
 from .linalg import IntMatrix, NotUnimodularError
+from .sweep import SweepSpec, SweepSpecError, count_skipped, iter_sweep, summarize
 
 CSV_HEADER = "a,b,p,c,d,q,mu,homology_hopf,rank,invariant_factors"
 
@@ -338,8 +339,6 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_spec_from_args(args):
-    from .sweep import SweepSpec
-
     if args.random is not None:
         if args.p_range or args.q_range or args.direction_plus or args.direction_minus:
             raise DocumentError("--random cannot be combined with tuple-sweep flags")
@@ -451,15 +450,7 @@ def _summary_json_text(s, skipped: int) -> str:
 
 
 def cmd_sweep(args) -> int:
-    # Imported here so that the other commands do not load sweep.  A bad
-    # spec becomes a DocumentError, so main's except table names no sweep
-    # type.
-    from .sweep import SweepSpecError, count_skipped, iter_sweep, summarize
-
-    try:
-        spec = _sweep_spec_from_args(args)
-    except SweepSpecError as exc:
-        raise DocumentError(str(exc)) from exc
+    spec = _sweep_spec_from_args(args)
     csv = args.format == "csv"
     if csv:
         sys.stdout.write(CSV_HEADER + "\n")
@@ -547,15 +538,24 @@ def _add_sweep_args(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+#: The help epilog of each command that takes comma-separated integers:
+#: argparse reads a separate value that starts with "-" as an option.
+_NEGATIVE_VALUES = ("A value that starts with '-' needs the --option=VALUE form, "
+                    "as in --minus=-1,0,1.")
+
 #: Each command, in help order, with its help line, the function that runs
-#: it and the function that adds its arguments to its subparser.
+#: it, the function that adds its arguments to its subparser and its epilog.
 _COMMANDS = {
-    "classify": ("fundamental group and homology type", cmd_classify, _add_matrix_input),
-    "compose": ("compose two fiber surgeries", cmd_compose, _add_compose_args),
-    "reduce": ("reduce to normal form with a certificate", cmd_reduce, _add_reduce_args),
-    "verify": ("check a reduction certificate", cmd_verify, _add_verify_args),
-    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _add_sweep_args),
-    "selftest": ("run the built-in invariant suites", cmd_selftest, None),
+    "classify": ("fundamental group and homology type", cmd_classify, _add_matrix_input,
+                 _NEGATIVE_VALUES),
+    "compose": ("compose two fiber surgeries", cmd_compose, _add_compose_args,
+                _NEGATIVE_VALUES),
+    "reduce": ("reduce to normal form with a certificate", cmd_reduce, _add_reduce_args,
+               _NEGATIVE_VALUES),
+    "verify": ("check a reduction certificate", cmd_verify, _add_verify_args, None),
+    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _add_sweep_args,
+              _NEGATIVE_VALUES),
+    "selftest": ("run the built-in invariant suites", cmd_selftest, None, None),
 }
 
 
@@ -579,8 +579,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     else:
         sub = parser.add_subparsers(dest="command", required=True)
         commands = _COMMANDS
-    for name, (help_line, fn, add_arguments) in commands.items():
-        p = sub.add_parser(name, help=help_line)
+    for name, (help_line, fn, add_arguments, epilog) in commands.items():
+        p = sub.add_parser(name, help=help_line, epilog=epilog)
         if add_arguments is not None:
             add_arguments(p)
         p.set_defaults(fn=fn)
@@ -595,7 +595,7 @@ def main(argv=None) -> int:
             code = args.fn(args)
         except SystemExit as exc:  # --help, or a usage error argparse reported
             code = int(exc.code or 0)
-        except (DocumentError, OutputError) as exc:
+        except (DocumentError, SweepSpecError, OutputError) as exc:
             code = _fail(str(exc), 2)
         except NotHomologyHopfError as exc:
             code = _fail(str(exc), 4)

@@ -273,9 +273,7 @@ def group_of_mu(mu: int) -> FgAbelianGroup:
     """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
     g = _GROUPS.get(mu)
     if g is None:
-        # Z/mu is already in normal form for mu >= 2; anything else raises.
-        group = FgAbelianGroup._trusted if mu >= 2 else FgAbelianGroup
-        g = group(*_rank_and_factors(mu))
+        g = FgAbelianGroup(*_rank_and_factors(mu))  # a negative mu raises
         if len(_GROUPS) < _GROUPS_MAX:
             _GROUPS[mu] = g
     return g

@@ -6,6 +6,7 @@ failure; seed 3 is a recorded seed of every workload.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,19 @@ def test_bench_workload_runs_correct(workload):
     last = json.loads(proc.stdout.splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0)
     assert last["attempted"] > 0
+
+
+def test_matrix_certify_runs_without_a_tracer():
+    # The op reads hopfglue.sweep from sys.modules; importing the package
+    # loads it, so no tracer has to import it first.
+    probe = """
+import workloads
+workloads.import_for("matrix-certify")
+workload = workloads.WORKLOADS["matrix-certify"](3)
+workload.run(workload.pool[0])
+print("ok")
+"""
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

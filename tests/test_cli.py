@@ -1115,10 +1115,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, [m for m in %r if m in sys.modules])
 """
-_MAIN_PROBE = _MAIN_PROBE_OF % (("hopfglue.sweep", "hopfglue.selftest"),)
+_MAIN_PROBE = _MAIN_PROBE_OF % (("hopfglue.selftest",),)
 
 
-def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
+def test_non_selftest_commands_leave_selftest_unloaded(tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(certificate_document(
         reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
@@ -1126,13 +1126,14 @@ def test_non_sweep_commands_load_neither_sweep_nor_selftest(tmp_path):
     for argv in (["classify", "--matrix", ZETA_ARG],
                  ["compose", "--plus", "1,0,2", "--minus", "0,1,3"],
                  ["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"],
-                 ["verify", "--file", str(cert)]):
+                 ["verify", "--file", str(cert)],
+                 ["sweep", "--random", "2"]):
         proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, *argv],
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout == "0 []\n", argv
 
 
-def test_no_command_loads_dataclasses_and_only_sweep_loads_the_sweep_module(tmp_path):
+def test_no_command_loads_dataclasses_and_every_command_loads_sweep(tmp_path):
     # Every result type is a value class, so no command loads dataclasses or
     # the inspect module it pulls in, a sweep's records included.
     cert = tmp_path / "cert.json"
@@ -1141,15 +1142,15 @@ def test_no_command_loads_dataclasses_and_only_sweep_loads_the_sweep_module(tmp_
     probe = _MAIN_PROBE_OF % (("hopfglue.abelian", "hopfglue.sweep", "dataclasses",
                                "inspect"),)
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    layers = "0 ['hopfglue.abelian', 'hopfglue.sweep']\n"
     expected = [
-        (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], "0 ['hopfglue.abelian']\n"),
-        (["verify", "--file", str(cert)], "0 ['hopfglue.abelian']\n"),
-        (["classify", "--matrix", ZETA_ARG], "0 ['hopfglue.abelian']\n"),
-        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], "0 ['hopfglue.abelian']\n"),
-        (["sweep", "--random", "2"], "0 ['hopfglue.abelian', 'hopfglue.sweep']\n"),
+        (["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"], layers),
+        (["verify", "--file", str(cert)], layers),
+        (["classify", "--matrix", ZETA_ARG], layers),
+        (["compose", "--plus", "1,0,2", "--minus", "0,1,3"], layers),
+        (["sweep", "--random", "2"], layers),
         (["sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
-          "--p-range", "0:2", "--q-range", "0:2", "--format", "csv"],
-         "0 ['hopfglue.abelian', 'hopfglue.sweep']\n"),
+          "--p-range", "0:2", "--q-range", "0:2", "--format", "csv"], layers),
     ]
     for argv, want in expected:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],
@@ -1163,7 +1164,7 @@ def test_importing_the_package_loads_the_gluing_layer():
              "print('hopfglue.gluing' in sys.modules, 'hopfglue.sweep' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout == "True False\n"
+    assert proc.stdout == "True True\n"
 
 
 def test_sweeps_write_their_output_without_loading_json():

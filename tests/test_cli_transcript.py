@@ -122,11 +122,11 @@ DIGESTS = {
     "compose-non-primitive": "9dc3328c2625300087756b70272f52201a6e210533d210160e3658c4b40aceb2",
     "compose-two-ints": "9cf19d1e587ed21f7e071fe37f351b1ea1803a2a3cbff1bae335419ef818272b",
     "help": "29f3d2a5f5dc646281877c81a8b26d26d6f784c64597e45fe301f32662f0173a",
-    "help-classify": "cb1a362ecfcdaced3846ea551b64d6d59210b6144ae8f70f648c8f744176b7fa",
-    "help-compose": "00dbd6d32f1ebc6a460f9935e4dbe25ee0a575564d5deea9c16fb183a833fbec",
-    "help-reduce": "a190f567b347cf7fc8f5a20f65d3713c6d6fe51d949b1aa7644d7073fefefd88",
+    "help-classify": "76afb610ba920789d2d0c113df3f577d6d5cd2b65a14aea006c9f67b8e5a9291",
+    "help-compose": "f8ede62215f1e49eb41d67b9a821a76dfddf1c432e98c3b3764d6663af4aeeac",
+    "help-reduce": "87cb469c072c47294e4b5d2e6b574ed94ecdb229f5ade3081275acf84576434e",
     "help-selftest": "348bda1f4e69a9e3213a9a5c4d2da72f0c37efdadd901bc29f44050d32f4eed0",
-    "help-sweep": "0da51317cc246e9e63afea1ac943d0f31d4389537686ffa018bb115d20d9e00b",
+    "help-sweep": "1f3566279d6373fa08049b24de3baa265e332c284ff2c6902b655abab86f08fa",
     "help-verify": "4c9ccb0d700206b9b744d56ad05abb9267a89a1aa32e1645ed755035cc2b5d79",
     "no-command": "99361b6b5fea0536fbef36362528facf48e910fb130b7f7185d42e74ba46d6bc",
     "reduce": "485f99eae90ed2ddc456ef8adb65caf90dfba8a78e3f24e99b587d0077080506",

@@ -44,11 +44,11 @@ DIGESTS = {
     "h": "e81664521325aab1499056870a2b6a7d8cc8d1bd8e06a7c41e04df8d447dc619",
     "h-reduce": "e0adb7b786ae335c46de503e962fd97693f6c842dddaf7400d5576c9f9081505",
     "help": "ae8fdc218cd9845ffd7bc1c021d1d0613e1af16efb1c7b2b45d852aaf180f0dc",
-    "help-classify": "e59c9905794dfb699c9b59fa1a20e80c1f2d2a3a970f6f13d0b91d5024de2a8d",
-    "help-compose": "6938c979eea0044913135a6cb032bb022124b999eb8e497dd2efe7d892f38f6e",
-    "help-reduce": "c7ecdb4a7c24ac0e89856ff6b68176d284ae8ab0533d693a1490a5ff370ef96f",
+    "help-classify": "d52752ddb395bd4c7789afd04deffb9fc34daba764df04d476a7fc0a672d9a55",
+    "help-compose": "ffd790dfe012ff445505c1d6232cdd95084fce2573c9d223f5c6a98e0c230e83",
+    "help-reduce": "d74067f28ab50da154654cdb5b9d0796cb4bc57133dae1e111ea7875bda5f032",
     "help-selftest": "fb5efe494969bd3b0100c876da209474d609845828bb9fad5b86c64d5467f55b",
-    "help-sweep": "b8aa26887ccb891756e4c647aca9675e3dacd7789f644b55b97e3e382963353d",
+    "help-sweep": "bcb525760f41f8dc3e7950e3efbf63c876c32322db00e68d5e1f96c4b652c5c4",
     "help-verify": "5dec3fde6959b79621f8a326234a2eaea540e87862666e79b614ff122ea04a4c",
     "no-arguments": "e7f502b49cf6dc7ed378ccab4af8ceb1398e3d0ee6b2273e9d6f3c445ae1e8ba",
     "reduce-matrix-and-file": "322125985d65a0cd58cb7c753c25ea0fc1b0559bc0268898a84b60625cd9d25c",

@@ -1,4 +1,4 @@
-"""The package namespace: eager layers, and the sweep names loaded on first use.
+"""The package namespace: every layer loaded with the package, each name bound once.
 
 The checks that depend on what is already imported run in a fresh
 interpreter, so no earlier import can hide what loading the package does.
@@ -40,10 +40,8 @@ print("ok")
 def test_sweep_names_are_the_submodule_objects():
     probe = """
 import sys, hopfglue
-assert "hopfglue.sweep" not in sys.modules
-assert hopfglue.SweepSpec is sys.modules["hopfglue.sweep"].SweepSpec
 module = sys.modules["hopfglue.sweep"]
-for name in ("SweepRecord", "SweepSpecError", "SweepSummary", "count_skipped",
+for name in ("SweepRecord", "SweepSpec", "SweepSpecError", "SweepSummary", "count_skipped",
              "iter_sweep", "summarize", "sweep"):
     assert getattr(hopfglue, name) is getattr(module, name), name
 print("ok")
@@ -51,10 +49,10 @@ print("ok")
     assert _run(probe) == "ok\n"
 
 
-def test_importing_the_package_leaves_sweep_and_dataclasses_unloaded():
+def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
     probe = """
 import sys, hopfglue
-print([m for m in ("hopfglue.sweep", "dataclasses", "inspect") if m in sys.modules])
+print([m for m in ("dataclasses", "inspect") if m in sys.modules])
 """
     assert _run(probe) == "[]\n"
 
@@ -66,7 +64,6 @@ module = sys.modules["hopfglue.abelian"]
 for name in ("FgAbelianGroup", "Presentation", "group_from_presentation", "is_isomorphic",
              "torsion_order"):
     assert getattr(hopfglue, name) is getattr(module, name), name
-assert "hopfglue.sweep" not in sys.modules
 print("ok")
 """
     assert _run(probe) == "ok\n"
@@ -87,30 +84,14 @@ print("ok")
 
 def test_dir_lists_every_exported_name_before_any_is_loaded():
     probe = """
-import sys, hopfglue
+import hopfglue
 listed = dir(hopfglue)
-assert "hopfglue.sweep" not in sys.modules
 missing = [n for n in hopfglue.__all__ if n not in listed]
 assert missing == [], missing
 assert listed == sorted(listed)
 print("ok")
 """
     assert _run(probe) == "ok\n"
-
-
-def test_dir_lists_the_lazy_names_before_their_modules_load():
-    probe = """
-import sys, hopfglue
-listed = dir(hopfglue)
-lazy = ("SweepRecord", "SweepSpec", "SweepSpecError", "SweepSummary",
-        "count_skipped", "iter_sweep", "summarize", "sweep")
-assert "hopfglue.sweep" not in sys.modules
-missing = [n for n in lazy if n not in listed]
-assert missing == [], missing
-assert "hopfglue.sweep" not in sys.modules
-print(len(lazy))
-"""
-    assert _run(probe) == "8\n"
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -162,10 +143,10 @@ print(len(hopfglue.__all__))
     assert _run(probe) == "51\n"
 
 
-def test_importing_the_package_loads_exactly_abelian_gluing_and_linalg():
+def test_importing_the_package_loads_exactly_the_four_layers():
     probe = """
 import sys, hopfglue
 print(sorted(m for m in sys.modules if m.split(".")[0] == "hopfglue"))
 """
     assert _run(probe) == ("['hopfglue', 'hopfglue.abelian', 'hopfglue.gluing', "
-                           "'hopfglue.linalg']\n")
+                           "'hopfglue.linalg', 'hopfglue.sweep']\n")

@@ -83,7 +83,7 @@ def _values():
         (FgAbelianGroup(1, ()), "FgAbelianGroup(rank=1, invariant_factors=())", (1, ())),
         (FgAbelianGroup(0, [2, 6]), "FgAbelianGroup(rank=0, invariant_factors=(2, 6))",
          (0, (2, 6))),
-        # built unchecked, through FgAbelianGroup._trusted
+        # built by group_of_mu, through the checked constructor
         (group_of_mu(6), "FgAbelianGroup(rank=1, invariant_factors=(6,))", (1, (6,))),
         (SweepSpec(),
          "SweepSpec(mode='tuple', a_range=(0, 0), b_range=(0, 0), p_range=(0, 0),"
