@@ -33,6 +33,7 @@ from .linalg import (
     NotUnimodularError,
     ShapeError,
     UnimodularMatrix,
+    _mul3,
     _require_int,
     _Value,
     complete_primitive_to_sl3,
@@ -457,10 +458,12 @@ def certificate_failure(cert: ReductionCertificate):
 
     Checks every factor against the extendability predicate (reporting the
     first offender by side and index), then that the input is a gluing
-    (determinant +1 or -1), and then the exact product identity.
+    (determinant +1 or -1), and then the exact product identity.  The
+    product is taken over row tuples with ``linalg._mul3``, the same 3x3
+    kernel ``multiply`` uses, and compared with the output's rows.
     """
     left, right = [], []
-    for side, factors, mats in (("left", cert.left_factors, left),
+    for side, factors, kept in (("left", cert.left_factors, left),
                                 ("right", cert.right_factors, right)):
         for idx, f in enumerate(factors):
             try:
@@ -472,7 +475,7 @@ def certificate_failure(cert: ReductionCertificate):
                 return f"{side} factor {idx} is not 3x3"
             if not _extendable(rows):
                 return f"{side} factor {idx} is not extendable"
-            mats.append(mat)
+            kept.append(rows)
     try:
         product = _as_matrix(cert.input)
     except (ValueError, TypeError) as exc:
@@ -483,15 +486,16 @@ def certificate_failure(cert: ReductionCertificate):
         UnimodularMatrix(product)
     except NotUnimodularError as exc:
         return f"input is not a gluing: {exc}"
+    rows = product._rows
     for f in reversed(left):
-        product = f @ product
+        rows = _mul3(f, rows)
     for f in right:
-        product = product @ f
+        rows = _mul3(rows, f)
     try:
         output = _as_matrix(cert.output)
     except (ValueError, TypeError) as exc:
         return f"malformed certificate: output: {exc}"
-    if product != output:
+    if rows != output._rows:
         return "product identity fails"
     return None
 

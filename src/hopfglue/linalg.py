@@ -284,25 +284,30 @@ class SnfResult(_Value):
         return tuple(self.d[i, i] for i in range(n))
 
 
+def _mul3(ra: tuple, rb: tuple) -> tuple:
+    """Rows of the product of two 3x3 matrices given by their row tuples."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ra
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rb
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20,
+         a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20,
+         a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20,
+         a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+    )
+
+
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product, unrolled for 3x3 operands."""
     ra, rb = a._rows, b._rows
     if len(ra[0]) != len(rb):
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if len(ra) == 3 and len(rb) == 3 and len(rb[0]) == 3:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ra
-        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rb
-        return IntMatrix._trusted((
-            (a00 * b00 + a01 * b10 + a02 * b20,
-             a00 * b01 + a01 * b11 + a02 * b21,
-             a00 * b02 + a01 * b12 + a02 * b22),
-            (a10 * b00 + a11 * b10 + a12 * b20,
-             a10 * b01 + a11 * b11 + a12 * b21,
-             a10 * b02 + a11 * b12 + a12 * b22),
-            (a20 * b00 + a21 * b10 + a22 * b20,
-             a20 * b01 + a21 * b11 + a22 * b21,
-             a20 * b02 + a21 * b12 + a22 * b22),
-        ))
+        return IntMatrix._trusted(_mul3(ra, rb))
     bt = tuple(zip(*rb))
     return IntMatrix._trusted(
         tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in ra)
@@ -582,12 +587,6 @@ def sl2_carry_to_e1(g: int, h: int) -> UnimodularMatrix:
     return UnimodularMatrix._trusted(IntMatrix._trusted(((x, y), (-h, g))), 1)
 
 
-#: (first, second) draw of rng.sample(range(3), 2) -> the pair (i, j) it
-#: returns: the first index picks from [0, 1, 2], and pool[2] moves into
-#: the vacancy before the second index picks from what is left.
-_SAMPLE_PAIRS = (((0, 2), (0, 1)), ((1, 0), (1, 2)), ((2, 0), (2, 1)))
-
-
 def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     """Deterministic pseudo-random element of the 3x3 determinant-1 group.
 
@@ -614,11 +613,18 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
     ``randbelow(n)`` is ``getrandbits(2)`` (n has two bits), the top two
     bits of one 32-bit Mersenne Twister word, redrawn while it is >= n;
     so ``getrandbits(2)`` called directly reads the same words in the
-    same order.
+    same order.  ``sample`` maps its draws ``(first, second)`` to the pair
+    ``(i, j)``: the first picks from ``[0, 1, 2]``, and the last item
+    moves into the vacancy before the second picks from what is left, so
+    ``(0,0)->(0,2)``, ``(0,1)->(0,1)``, ``(1,0)->(1,0)``, ``(1,1)->(1,2)``,
+    ``(2,0)->(2,0)`` and ``(2,1)->(2,1)``.  The loop below holds the nine
+    entries ``aij`` in local ints and applies each signed move by a branch
+    on ``(first, second, sign)``.
     """
     _require_int((seed, word_length), "seed and word_length")
     bits = random.Random(seed).getrandbits
-    rows = list(_I3_ROWS)
+    a00 = a11 = a22 = 1
+    a01 = a02 = a10 = a12 = a20 = a21 = 0
     for _ in range(word_length):
         first = bits(2)
         while first == 3:
@@ -626,14 +632,38 @@ def random_sl3(seed: int, word_length: int) -> UnimodularMatrix:
         second = bits(2)
         while second > 1:
             second = bits(2)
-        i, j = _SAMPLE_PAIRS[first][second]
-        sign = bits(2)
+        sign = bits(2)  # choice((1, -1)) draws index 1 for -1
         while sign > 1:
             sign = bits(2)
-        a, b = rows[i], rows[j]
-        if sign:  # choice((1, -1)) drew index 1
-            rows[i] = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+        if first == 0:
+            if second:  # row 0 +- row 1
+                if sign:
+                    a00, a01, a02 = a00 - a10, a01 - a11, a02 - a12
+                else:
+                    a00, a01, a02 = a00 + a10, a01 + a11, a02 + a12
+            elif sign:  # row 0 +- row 2
+                a00, a01, a02 = a00 - a20, a01 - a21, a02 - a22
+            else:
+                a00, a01, a02 = a00 + a20, a01 + a21, a02 + a22
+        elif first == 1:
+            if second:  # row 1 +- row 2
+                if sign:
+                    a10, a11, a12 = a10 - a20, a11 - a21, a12 - a22
+                else:
+                    a10, a11, a12 = a10 + a20, a11 + a21, a12 + a22
+            elif sign:  # row 1 +- row 0
+                a10, a11, a12 = a10 - a00, a11 - a01, a12 - a02
+            else:
+                a10, a11, a12 = a10 + a00, a11 + a01, a12 + a02
+        elif second:  # row 2 +- row 1
+            if sign:
+                a20, a21, a22 = a20 - a10, a21 - a11, a22 - a12
+            else:
+                a20, a21, a22 = a20 + a10, a21 + a11, a22 + a12
+        elif sign:  # row 2 +- row 0
+            a20, a21, a22 = a20 - a00, a21 - a01, a22 - a02
         else:
-            rows[i] = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            a20, a21, a22 = a20 + a00, a21 + a01, a22 + a02
     # A product of elementary matrices has determinant 1.
-    return UnimodularMatrix._trusted(IntMatrix._trusted(tuple(rows)), 1)
+    return UnimodularMatrix._trusted(IntMatrix._trusted(
+        ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22))), 1)

@@ -286,12 +286,12 @@ def _mutate(cert, rng):
     )
 
 
-def test_criterion_7_tamper_detection():
+def _check_tamper_detection(word_length):
     rng = random.Random(4242)
     certs = []
     seed = 5000
     while len(certs) < 100:
-        m = GluingMatrix(random_sl3(seed, 12))
+        m = GluingMatrix(random_sl3(seed, word_length))
         seed += 1
         if math.gcd(m.g, m.h) != 1:
             continue
@@ -313,4 +313,15 @@ def test_criterion_7_tamper_detection():
             else:
                 broken += 1
     assert broken > 0
-    report(7, f"verification rejected all {broken} genuinely broken mutations ({intact} coincidentally valid)")
+    report(7, f"verification rejected all {broken} genuinely broken mutations"
+              f" ({intact} coincidentally valid) at word length {word_length}")
+
+
+def test_criterion_7_tamper_detection():
+    _check_tamper_detection(12)
+
+
+def test_criterion_7_tamper_detection_long_words():
+    # Length-192 words, as in matrix-certify, give certificates with
+    # multi-digit entries.
+    _check_tamper_detection(192)

@@ -43,3 +43,26 @@ print("ok")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+#: Seed-3 per-layer counts of matrix-certify's three traced pool passes.
+TRACED_MATRIX_CERTIFY_COUNTS = {
+    "linalg.random_sl3.calls": 3600,
+    "gluing.certificate_failure.calls": 2640,
+    "linalg.determinant.calls": 7920,
+    "linalg.UnimodularMatrix.constructed": 7920,
+    "gluing.certificate_factors": 10152,
+}
+
+
+def test_matrix_certify_traced_run_makes_the_pinned_calls():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "matrix-certify",
+         "--seed", "3", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
+    counts = {name: last["metrics"][name]["value"] for name in TRACED_MATRIX_CERTIFY_COUNTS}
+    assert counts == TRACED_MATRIX_CERTIFY_COUNTS

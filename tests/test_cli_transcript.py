@@ -1,7 +1,8 @@
-"""Pinned CLI transcript: argv, exit code and stdout of 50 main() calls.
+"""Pinned CLI transcript: argv, exit code and stdout of 42 main() calls.
 
 Each case's sha256 covers ``(argv, exit code, stdout)``; stderr is not
-pinned.  ``FILE:name`` in an argv stands for a file holding
+pinned.  The help pages and the bare ``hopfglue`` call are pinned, with
+their stderr, in test_cli_usage.py.  ``FILE:name`` in an argv stands for a file holding
 ``DOCUMENTS[name]``; a case's third field names the document on stdin.
 Run this module as a script to print the current digests.
 """
@@ -96,14 +97,6 @@ CASES = {
     "sweep-missing-flags": (("sweep", "--p-range", "0:2"),),
     "sweep-negative-random": (("sweep", "--random", "-1"),),
     "selftest": (("selftest",),),
-    "help": (("--help",),),
-    "help-classify": (("classify", "--help"),),
-    "help-compose": (("compose", "--help"),),
-    "help-reduce": (("reduce", "--help"),),
-    "help-verify": (("verify", "--help"),),
-    "help-sweep": (("sweep", "--help"),),
-    "help-selftest": (("selftest", "--help"),),
-    "no-command": ((),),
 }
 
 #: sha256 of json.dumps([argv, exit code, stdout]) per case.
@@ -121,14 +114,6 @@ DIGESTS = {
     "compose-completions": "2b304db95fa3a4d880d3ac1da5aa4bdb71d394bc82dc09a29fa720f1b5dc6fc4",
     "compose-non-primitive": "9dc3328c2625300087756b70272f52201a6e210533d210160e3658c4b40aceb2",
     "compose-two-ints": "9cf19d1e587ed21f7e071fe37f351b1ea1803a2a3cbff1bae335419ef818272b",
-    "help": "29f3d2a5f5dc646281877c81a8b26d26d6f784c64597e45fe301f32662f0173a",
-    "help-classify": "76afb610ba920789d2d0c113df3f577d6d5cd2b65a14aea006c9f67b8e5a9291",
-    "help-compose": "f8ede62215f1e49eb41d67b9a821a76dfddf1c432e98c3b3764d6663af4aeeac",
-    "help-reduce": "87cb469c072c47294e4b5d2e6b574ed94ecdb229f5ade3081275acf84576434e",
-    "help-selftest": "348bda1f4e69a9e3213a9a5c4d2da72f0c37efdadd901bc29f44050d32f4eed0",
-    "help-sweep": "1f3566279d6373fa08049b24de3baa265e332c284ff2c6902b655abab86f08fa",
-    "help-verify": "4c9ccb0d700206b9b744d56ad05abb9267a89a1aa32e1645ed755035cc2b5d79",
-    "no-command": "99361b6b5fea0536fbef36362528facf48e910fb130b7f7185d42e74ba46d6bc",
     "reduce": "485f99eae90ed2ddc456ef8adb65caf90dfba8a78e3f24e99b587d0077080506",
     "reduce-file": "a5ad6b5335cc4bdf923dcb6b8d33aa30eb0c2e5df2d1f048fe71ed45298a3ffa",
     "reduce-file-not-hopf": "55925d67ca8b35473fca3a553010c69b3e139abb008201f64ac1890129eb6c2b",
@@ -172,7 +157,7 @@ def transcript(case, tmp_path, monkeypatch):
                 path.write_text(DOCUMENTS[a[5:]])
             a = str(path)
         args.append(a)
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal
     monkeypatch.setattr("sys.stdin", io.StringIO(DOCUMENTS.get(stdin, "")))
     out = io.StringIO()
     monkeypatch.setattr("sys.stdout", out)

@@ -462,6 +462,27 @@ def test_random_sl3_matches_reference_loop():
         assert random_sl3(seed, 5000).m.to_lists() == reference_random_sl3(seed, 5000)
 
 
+def test_random_sl3_single_moves_reach_every_branch():
+    # A one-move word is the elementary matrix I + s * e_ij; seeds 0-299
+    # reach all 12 signed (i, j), so every leaf of the unrolled move tree
+    # runs and is checked against the reference loop.
+    seen = set()
+    for seed in range(300):
+        rows = random_sl3(seed, 1).m.to_lists()
+        assert rows == reference_random_sl3(seed, 1)
+        seen.add(tuple(map(tuple, rows)))
+    elementary = set()
+    for i in range(3):
+        for j in range(3):
+            for s in (1, -1):
+                if i != j:
+                    m = [[int(r == c) for c in range(3)] for r in range(3)]
+                    m[i][j] = s
+                    elementary.add(tuple(map(tuple, m)))
+    assert len(elementary) == 12
+    assert seen == elementary
+
+
 # --- the closed-form 3x3 core against the oracles ----------------------------
 
 
