@@ -13,16 +13,18 @@ integer too long for the interpreter's int/str conversion limit is a
 validation failure (exit 2), not a crash.
 
 Every process loads the four layers, sweep included; only ``selftest``
-loads :mod:`hopfglue.selftest`.  ``classify`` and ``compose`` report the
-group Z + Z/mu from the integer mu without building it; ``compose``
-checks its two routes by comparing their mus.  Every result type is an
-immutable tuple of its fields, not a dataclass, so no command imports
-``dataclasses`` or the ``inspect`` it would pull in.  When the first
-argument names a command, only that command's subparser is built.
-``json`` is imported only to read a document or to print a classify,
-compose or reduce report; sweeps format their JSON and CSV directly.  A
-sweep writes its header at once and then its rows in chunks of about a
-thousand, since under ``PYTHONUNBUFFERED`` every write is a system call.
+loads :mod:`hopfglue.selftest`.  The CLI states no invariant rule of its
+own: ``classify`` reports ``group_of_mu`` of gcd(g, h), and ``compose``
+reports ``pi1_two_log_transforms`` of its two surgeries and
+``group_of_mu`` of the composed gluing and checks them with
+``is_isomorphic``.  Every result type is an immutable tuple of its
+fields, not a dataclass, so no command imports ``dataclasses`` or the
+``inspect`` it would pull in.  When the first argument names a command,
+only that command's subparser is built.  ``json`` is imported only to
+read a document or to print a classify, compose or reduce report; sweeps
+format their JSON and CSV directly.  A sweep writes its header at once
+and then its rows in chunks of about a thousand, since under
+``PYTHONUNBUFFERED`` every write is a system call.
 
 ``main`` runs one command and returns its exit code; tests, the benchmark
 and library callers call it, and it leaves the garbage collector alone.
@@ -47,18 +49,19 @@ import math
 import os
 import sys
 
+from .abelian import is_isomorphic
 from .gluing import (
     CONVENTION,
     GluingMatrix,
     LogTransformParams,
     NotHomologyHopfError,
     ReductionCertificate,
-    _rank_and_factors,
-    _two_log_mu,
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
+    group_of_mu,
     normalize_to_sl3,
+    pi1_two_log_transforms,
     reduce_to_normal_form,
     reduce_to_standard,
 )
@@ -176,10 +179,9 @@ def parse_certificate_document(obj) -> ReductionCertificate:
     )
 
 
-def _group_report(mu: int) -> dict:
-    """The report of the group Z + Z/mu, built without building the group."""
-    rank, factors = _rank_and_factors(mu)
-    return {"rank": rank, "invariant_factors": list(factors)}
+def _group_report(group) -> dict:
+    """The report of a group: its rank and its invariant factors."""
+    return {"rank": group.rank, "invariant_factors": list(group.invariant_factors)}
 
 
 def _gluing_report(gm: GluingMatrix) -> dict:
@@ -271,7 +273,7 @@ def cmd_classify(args) -> int:
     report = _gluing_report(gm)
     _emit_json(dict(
         report,
-        group=_group_report(report["gcd_gh"]),
+        group=_group_report(group_of_mu(report["gcd_gh"])),
         matrix=gm.matrix.to_lists(),
     ))
     return 0
@@ -287,22 +289,20 @@ def _params_from_args(triple, completion_text, what):
 
 
 def _compose_report(plus: LogTransformParams, minus: LogTransformParams) -> dict:
-    """The compose report: both routes to pi_1 = Z + Z/mu, compared by mu.
+    """The compose report: both routes to pi_1 = Z + Z/mu, compared as groups.
 
-    The direct mu is the minor gcd of the two surgery relations, the other
-    is gcd(g, h) of the composed gluing.  The groups Z + Z/mu of two mus
-    are isomorphic exactly when the mus are equal, so ``agreement``
-    compares the ints.  Both triples are already checked, as ints and as
-    columns of determinant-1 completions, which makes them primitive.
+    The direct group is pi1_two_log_transforms of the two surgery
+    relations, the other is group_of_mu of gcd(g, h) of the composed
+    gluing; ``agreement`` is is_isomorphic of the two.
     """
     tp, tm = (plus.a, plus.b, plus.p), (minus.a, minus.b, minus.p)
     composed = compose_two_fiber(plus, minus)
     report = _gluing_report(composed)
-    direct = _two_log_mu(*tp, *tm)
-    via_matrix = report["gcd_gh"]
+    direct = pi1_two_log_transforms(*tp, *tm)
+    via_matrix = group_of_mu(report["gcd_gh"])
     return dict(
         report,
-        agreement=direct == via_matrix,
+        agreement=is_isomorphic(direct, via_matrix),
         composed_matrix=composed.matrix.to_lists(),
         group=_group_report(direct),
         group_from_composition=_group_report(via_matrix),

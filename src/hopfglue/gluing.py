@@ -57,9 +57,10 @@ class ReductionError(RuntimeError):
     """Kept for callers that catch it; the library no longer raises it."""
 
 
-# The meridian sign flip and the standard gluing N0.
+# The meridian sign flip, the standard gluing N0 and the gluing zeta.
 _FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
 _N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+_ZETA = UnimodularMatrix(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]]))
 
 
 class GluingMatrix:
@@ -216,7 +217,7 @@ def zeta_matrix() -> GluingMatrix:
     giving [[1, 0, 1], [0, 1, 0], [0, 0, -1]] (determinant -1: the map
     reverses the boundary orientation).
     """
-    return GluingMatrix(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]]))
+    return GluingMatrix(_ZETA.m)
 
 
 def standard_gluing_matrix() -> GluingMatrix:
@@ -253,28 +254,24 @@ def normalize_to_sl3(m: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(m.m @ _FLIP)
 
 
-def _rank_and_factors(mu: int) -> tuple:
-    """Z + Z/mu as (rank, invariant factors): Z^2 for mu = 0, Z for mu = 1.
-
-    The one place the rule is written: group_of_mu builds its groups from
-    it, and the CLI reports groups with it without building them.
-    """
-    if mu == 0:
-        return 2, ()
-    return (1, ()) if mu == 1 else (1, (mu,))
-
-
 #: Shared groups by mu.  Groups are immutable, so every caller may hold
 #: the same instance; past _GROUPS_MAX entries new groups are not kept.
-_GROUPS = {mu: FgAbelianGroup(*_rank_and_factors(mu)) for mu in (0, 1)}
+_GROUPS = {0: FgAbelianGroup(2, ()), 1: FgAbelianGroup(1, ())}
 _GROUPS_MAX = 4096
 
 
 def group_of_mu(mu: int) -> FgAbelianGroup:
-    """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z."""
+    """The group Z + Z/mu, with mu = 0 meaning Z^2 and mu = 1 meaning Z.
+
+    The one place the rule is written: every group the package reports,
+    from a gluing, a pair of surgeries or a sweep cell, comes from here.
+    """
     g = _GROUPS.get(mu)
     if g is None:
-        g = FgAbelianGroup(*_rank_and_factors(mu))  # a negative mu raises
+        if mu == 0:
+            g = FgAbelianGroup(2, ())
+        else:  # a negative mu raises, as an invariant factor below 2
+            g = FgAbelianGroup(1, () if mu == 1 else (mu,))
         if len(_GROUPS) < _GROUPS_MAX:
             _GROUPS[mu] = g
     return g
@@ -346,7 +343,7 @@ def compose_two_fiber(plus: LogTransformParams,
     completion choices.
     """
     return GluingMatrix(
-        inverse_unimodular(plus.completion) @ zeta_matrix().m @ minus.completion
+        inverse_unimodular(plus.completion) @ _ZETA @ minus.completion
     )
 
 

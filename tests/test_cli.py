@@ -36,6 +36,7 @@ from hopfglue.gluing import (
     GluingMatrix,
     LogTransformParams,
     compose_two_fiber,
+    group_of_mu,
     normalize_to_sl3,
     pi1_single_gluing,
     pi1_two_log_transforms,
@@ -167,8 +168,8 @@ def test_group_reports_from_mu_match_the_smith_form_route():
     # Z + Z/mu is Z^2 modulo the relation (mu, 0).
     groups = [group_from_presentation(Presentation(2, [(mu, 0)])) for mu in range(201)]
     for mu, g in enumerate(groups):
-        assert _group_report(mu) == _report_of(g), mu
-    # compose's agreement compares mus, which is is_isomorphic on their groups
+        assert _group_report(group_of_mu(mu)) == _report_of(g), mu
+    # Groups of two mus are isomorphic exactly when the mus are equal.
     for (x, gx), (y, gy) in itertools.product(enumerate(groups), repeat=2):
         assert (x == y) is is_isomorphic(gx, gy)
 
@@ -309,6 +310,21 @@ def test_verify_rejects_input_that_is_not_a_gluing(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "input" in err
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_rejects_a_document_that_is_not_an_object(tmp_path, capsys, monkeypatch,
+                                                         text, source):
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = ("verify",)
+    else:
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        argv = ("verify", "--file", str(cert_path))
+    assert run(capsys, *argv) == (
+        2, "", "error: certificate document must be a JSON object\n")
 
 
 def test_verify_checks_document_tags(tmp_path, capsys):
@@ -699,7 +715,9 @@ def _peak_rss_mib(*argv):
     proc = subprocess.Popen([sys.executable, "-m", "hopfglue.cli", *argv],
                             stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    # Popen learns of the exit only from here: otherwise it warns at cleanup.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
     return usage.ru_maxrss / 1024  # KiB on Linux
 
 
@@ -727,7 +745,8 @@ def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
 
 

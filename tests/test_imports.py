@@ -65,3 +65,14 @@ def test_every_private_module_level_name_is_used_in_the_package():
     assert len(defined) > 40
     dead = [f"{name}: {n}" for name, n in defined if n not in used]
     assert dead == [], f"private names defined but never used: {dead}"
+
+
+def test_the_cli_imports_no_private_name_from_gluing():
+    # The CLI takes its groups from gluing's public functions, so it states
+    # no invariant rule of its own.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "gluing"
+               and node.level == 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"cli.py imports private names from .gluing: {private}"
