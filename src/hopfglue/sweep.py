@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, islice
-from operator import attrgetter
+from operator import itemgetter
 
 from . import gluing
 from .abelian import FgAbelianGroup
@@ -100,6 +100,8 @@ class SweepRecord(_Value):
     ``mu`` is the torsion order of the fundamental group, with 0 encoding
     the rank-2 case; ``homology_hopf`` is equivalent to ``mu == 1``, which
     every record the library builds keeps and ``summarize`` relies on.
+    ``summarize`` also relies on the field order: it reads ``mu`` as item
+    0, so ``mu`` stays the first field.
     ``group`` equals ``gluing.group_of_mu(mu)``, and is that shared instance
     while the bounded group cache holds it: a tuple sweep reads the cache
     once per cell and builds a group only on a miss.
@@ -189,9 +191,9 @@ def _tuple_records(spec: SweepSpec):
             c, d, q = tm
             # gluing._two_log_mu, with a + p hoisted out of the minus loop
             mu = gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
-            g = cached(mu)
-            # built unchecked, as _record builds it
-            yield new(SweepRecord, (mu, mu == 1, g if g is not None else group_of_mu(mu),
+            # built unchecked, as _record builds it; a group is a two-item
+            # tuple, so always true, and `or` falls through only on a miss
+            yield new(SweepRecord, (mu, mu == 1, cached(mu) or group_of_mu(mu),
                                     tp + tm, None))
 
 
@@ -231,12 +233,14 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
 def summarize(records) -> SweepSummary:
     """Exact counts: total, homology-Hopf cells, and a histogram by mu.
 
-    ``records`` may be any iterable of records, such as ``iter_sweep(spec)``;
-    it is read once, in a single C-level pass that keeps one count per
-    distinct mu.  The homology-Hopf count is the count of ``mu == 1``, by
+    ``records`` may be any iterable of ``SweepRecord``s, such as
+    ``iter_sweep(spec)``; it is read once, in a single C-level pass that
+    reads ``mu`` as item 0 of each record and keeps one count per distinct
+    mu.  So it takes records, not arbitrary objects with a ``.mu``
+    attribute.  The homology-Hopf count is the count of ``mu == 1``, by
     the ``SweepRecord`` rule that ``homology_hopf`` is ``mu == 1``.
     """
-    counts = Counter(map(attrgetter("mu"), records))
+    counts = Counter(map(itemgetter(0), records))
     return SweepSummary(
         total=counts.total(),
         homology_hopf_count=counts[1],

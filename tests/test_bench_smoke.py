@@ -45,6 +45,19 @@ print("ok")
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
+def _traced_seed3_metrics(workload):
+    """The metrics of a one-second traced seed-3 run that checked every op."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "3", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
+    return {name: metric["value"] for name, metric in last["metrics"].items()}
+
+
 #: Seed-3 per-layer counts of matrix-certify's three traced pool passes.
 TRACED_MATRIX_CERTIFY_COUNTS = {
     "linalg.random_sl3.calls": 3600,
@@ -56,13 +69,27 @@ TRACED_MATRIX_CERTIFY_COUNTS = {
 
 
 def test_matrix_certify_traced_run_makes_the_pinned_calls():
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "matrix-certify",
-         "--seed", "3", "--seconds", "1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.splitlines()[-1])
-    assert (last["correct"], last["failed"]) == (True, 0)
-    counts = {name: last["metrics"][name]["value"] for name in TRACED_MATRIX_CERTIFY_COUNTS}
+    metrics = _traced_seed3_metrics("matrix-certify")
+    counts = {name: metrics[name] for name in TRACED_MATRIX_CERTIFY_COUNTS}
     assert counts == TRACED_MATRIX_CERTIFY_COUNTS
+
+
+#: Seed-3 per-layer counts of tuple-sweep's three traced pool passes: mu is
+#: closed-form, so no SNF, presentation, pi_1 or random gluing is computed.
+TRACED_TUPLE_SWEEP_COUNTS = {
+    "sweep.sweep.calls": 90,
+    "sweep.cells_grid": 39690,
+    "sweep.cells_evaluated": 29988,
+    "linalg.smith_normal_form.calls": 0,
+    "abelian.group_from_presentation.calls": 0,
+    "gluing.pi1_two_log_transforms.calls": 0,
+    "linalg.random_sl3.calls": 0,
+}
+
+
+def test_tuple_sweep_traced_run_makes_the_pinned_calls():
+    metrics = _traced_seed3_metrics("tuple-sweep")
+    counts = {name: metrics[name] for name in TRACED_TUPLE_SWEEP_COUNTS}
+    assert counts == TRACED_TUPLE_SWEEP_COUNTS
+    # The tracer still wraps summarize, so its self time is measured.
+    assert metrics["sweep.summarize.self_ms"] > 0
