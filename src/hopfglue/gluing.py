@@ -126,18 +126,19 @@ class LogTransformParams:
 
     def __init__(self, a: int, b: int, p: int, completion=None):
         _require_int((a, b, p), "a, b and p")
-        if completion is None:
+        if completion is None:  # built with the properties checked below
             completion = complete_primitive_to_sl3((a, b, p))
-        elif not isinstance(completion, UnimodularMatrix):
-            completion = UnimodularMatrix(completion)
-        if completion.m.rows != 3:
-            raise ShapeError("completion must be 3x3")
-        if completion.det != 1:
-            raise OrientationError("completion must have determinant +1")
-        if completion.m.col(2) != (a, b, p):
-            raise ValueError(
-                f"completion third column {completion.m.col(2)} != {(a, b, p)}"
-            )
+        else:
+            if not isinstance(completion, UnimodularMatrix):
+                completion = UnimodularMatrix(completion)
+            if completion.m.rows != 3:
+                raise ShapeError("completion must be 3x3")
+            if completion.det != 1:
+                raise OrientationError("completion must have determinant +1")
+            if completion.m.col(2) != (a, b, p):
+                raise ValueError(
+                    f"completion third column {completion.m.col(2)} != {(a, b, p)}"
+                )
         self.a, self.b, self.p = a, b, p
         self.completion = completion
 
@@ -311,14 +312,10 @@ def random_completion(v, seed: int) -> UnimodularMatrix:
             block[0] = [block[0][0] + s * block[1][0], block[0][1] + s * block[1][1]]
         else:
             block[1] = [block[1][0] + s * block[0][0], block[1][1] + s * block[0][1]]
-    w = IntMatrix(
-        [
-            [block[0][0], block[0][1], 0],
-            [block[1][0], block[1][1], 0],
-            [rng.randint(-5, 5), rng.randint(-5, 5), 1],
-        ]
-    )
-    return UnimodularMatrix(base.m @ w)
+    # w fixes the third basis vector and its block has determinant 1.
+    w = ((block[0][0], block[0][1], 0), (block[1][0], block[1][1], 0),
+         (rng.randint(-5, 5), rng.randint(-5, 5), 1))
+    return UnimodularMatrix._trusted(IntMatrix._trusted(_mul3(base.m._rows, w)), 1)
 
 
 def calibrated_zeta_variant() -> str:
@@ -377,60 +374,90 @@ def pi1_two_log_transforms(a: int, b: int, p: int,
 
 
 def _reduce(m: GluingMatrix):
-    """The moves shared by both reductions: ``(left, right, block)``.
+    """Extendable moves to the class form: ``(left, right, mu, k0, block)``.
 
-    ``left`` is outermost first, and the moves carry ``m`` to
-    [[a, c, 1], [b, d, 0], [0, 0, 1]] with ``block`` = (a, c, b, d) and
-    ad - bc = 1.  The carry has determinant x*g + y*h = 1 and the shears
-    have third column (0, 0, 1) and identity block, so every factor is
-    extendable.  Each move updates only the entries it changes; the tests
-    keep the product of the factors as an oracle.
+    With third column (g, h, k), mu = gcd(g, h) and k0 = k mod mu in
+    [1, mu]; det = 1 expanded along column 2 makes k a unit mod mu, and
+    forces k0 = k = +-1 for mu = 0.  ``left`` (outermost first) and
+    ``right`` carry ``m`` to C(mu, k0) = [[x0, 0, mu], [0, 1, 0], [y0, 0, k0]]
+    with x0 k0 - y0 mu = 1 and x0 in [1, mu] (x0 = k0, y0 = 0 for mu = 0).
+    Every factor has third column (0, 0, 1) and det 1, so it is extendable,
+    and is omitted when it is the identity:
+
+    1. the carry [[x, y], [-h/mu, g/mu]] on rows 0-1 (det (xg + yh)/mu = 1)
+       takes (g, h) to (mu, 0); it and move 2 are skipped for mu = 0;
+    2. the left shear adds t = (k0 - k)/mu times row 0 to row 2;
+    3. the right shear adds r_j times column 2 to column j = 0, 1, where
+       [[mu, -x0], [k0, -y0]] (r_j, w_j) = (-a_j, -e_j) for a_j, e_j the
+       row 0 and 2 entries of column j.  The system has det 1, so
+       r_j = y0 a_j - x0 e_j and w_j = k0 a_j - mu e_j are integers, and
+       the matrix becomes C(mu, k0) @ [[B, 0], [0, 1]] with ``block``
+       B = [[w0, w1], [b, d]], of det 1;
+    4. the inverse of B, bordered the same way.
+
+    For mu = 1, x0 = 1 and y0 = 0, so the moves are the carry
+    [[x, y], [-h, g]], the shear by 1 - k, the right shear (-e, -f) and
+    the inverse of block (a - e, c - f, b, d).  Each move updates only the
+    entries it changes; the tests keep the product of factors as an oracle.
     """
     if m.det != 1:
         raise OrientationError(
             "determinant is -1; apply normalize_to_sl3 before reducing"
         )
     (a, c, g), (b, d, h), (e, f, k) = m.matrix._rows
-    gcd, x, y = extended_gcd(g, h)
-    if gcd != 1:
-        raise NotHomologyHopfError(
-            f"gcd(g, h) = gcd({g}, {h}) = {gcd} != 1: not a homology Hopf gluing"
-        )
+    mu, x, y = extended_gcd(g, h)
+    k0, x0, y0 = k, k, 0  # the values for mu = 0
     left = []  # innermost first while building
-    # The carry changes rows 0-1 and takes column 2 to (1, 0, k).  It is the
-    # identity exactly for (g, h) = (1, 0), where extended_gcd gives (1, 0).
-    if g != 1 or h != 0:
-        left.append(IntMatrix._trusted(((x, y, 0), (-h, g, 0), (0, 0, 1))))
-        a, c, b, d = x * a + y * b, x * c + y * d, g * b - h * a, g * d - h * c
-    if k != 1:  # add (1 - k) times row 0 to row 2
-        left.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (1 - k, 0, 1))))
-        e, f = e + (1 - k) * a, f + (1 - k) * c
-    # Subtracting e and f times column 2, now (1, 0, 1), changes rows 0 and 2.
+    if mu:
+        if g != mu or h != 0:  # else extended_gcd gave (x, y) = (1, 0)
+            u, v = h // mu, g // mu
+            left.append(IntMatrix._trusted(((x, y, 0), (-u, v, 0), (0, 0, 1))))
+            a, c, b, d = x * a + y * b, x * c + y * d, v * b - u * a, v * d - u * c
+        k0 = (k - 1) % mu + 1
+        if k != k0:
+            t = (k0 - k) // mu
+            left.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (t, 0, 1))))
+            e, f = e + t * a, f + t * c
+        x0 = pow(k0, -1, mu) or mu
+        y0 = (x0 * k0 - 1) // mu
     right = []
-    if e != 0 or f != 0:
-        right.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (-e, -f, 1))))
-        a, c = a - e, c - f
-    return left[::-1], right, (a, c, b, d)
+    r0, r1 = y0 * a - x0 * e, y0 * c - x0 * f
+    if r0 or r1:
+        right.append(IntMatrix._trusted(((1, 0, 0), (0, 1, 0), (r0, r1, 1))))
+    w0, w1 = k0 * a - mu * e, k0 * c - mu * f
+    if (w0, w1, b, d) != (1, 0, 0, 1):
+        right.append(IntMatrix._trusted(((d, -w1, 0), (-b, w0, 0), (0, 0, 1))))
+    return left[::-1], right, mu, k0, (w0, w1, b, d)
+
+
+def _reduce_hopf(m: GluingMatrix):
+    # _reduce for the one homology Hopf class, whose form C(1, 1) is N0.
+    left, right, mu, _, block = _reduce(m)
+    if mu != 1:
+        raise NotHomologyHopfError(
+            f"gcd(g, h) = gcd({m.g}, {m.h}) = {mu} != 1: not a homology Hopf gluing"
+        )
+    return left, right, block
 
 
 def reduce_to_normal_form(m: GluingMatrix):
     """Reduce a det +1 gluing with coprime (g, h) to normal form.
 
     Returns ``(NormalForm, ReductionCertificate)``.  Three moves, in order,
-    each by an extendable factor:
-
-    1. a 2x2 determinant-1 block acting on the first two rows carries the
-       column pair (g, h) to (1, 0);
-    2. a left shear subtracts (k - 1) times the first row from the last,
-       making the meridian coefficient 1;
-    3. a right shear adds multiples of the third column to the first two,
-       clearing the bottom-left entries.
+    each by an extendable factor: a 2x2 determinant-1 block acting on the
+    first two rows carries the column pair (g, h) to (1, 0); a left shear
+    subtracts (k - 1) times the first row from the last, making the
+    meridian coefficient 1; a right shear adds multiples of the third
+    column to the first two, clearing the bottom-left entries.
 
     Identity moves are omitted, so inputs already in normal form get an
-    empty certificate.  It holds by construction (see ``_reduce``);
-    ``verify``, ``selftest`` and the tests re-check it.
+    empty certificate.  It holds by construction (moves 1-3 of
+    ``_reduce``, for mu = 1); ``verify``, ``selftest`` and the tests
+    re-check it.
     """
-    left, right, (a, c, b, d) = _reduce(m)
+    left, right, (a, c, b, d) = _reduce_hopf(m)
+    if (a, c, b, d) != (1, 0, 0, 1):  # stop before the inverse of the block
+        right.pop()
     nf = NormalForm(IntMatrix._trusted(((a, c), (b, d))))
     return nf, ReductionCertificate(m.matrix, left, right, nf.matrix)
 
@@ -444,9 +471,7 @@ def reduce_to_standard(m: GluingMatrix) -> ReductionCertificate:
     is omitted when it is the identity.  The output is N0 itself, with no
     product taken; nothing is re-checked here.
     """
-    left, right, (a, c, b, d) = _reduce(m)
-    if (a, c, b, d) != (1, 0, 0, 1):
-        right.append(IntMatrix._trusted(((d, -c, 0), (-b, a, 0), (0, 0, 1))))
+    left, right, _ = _reduce_hopf(m)
     return ReductionCertificate(m.matrix, left, right, _N0)
 
 

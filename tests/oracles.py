@@ -145,6 +145,30 @@ def certificate_error(input_rows, left, right, output):
     return None
 
 
+def class_of_column(g, h, k):
+    """The class (mu, k0) of a det +1 gluing with third column (g, h, k).
+
+    mu = gcd(g, h) and k0 is the residue of k in [1, mu], found by search;
+    for mu = 0 the determinant forces k = +-1 and k0 = k.
+    """
+    mu = math.gcd(g, h)
+    if mu == 0:
+        return 0, k
+    return mu, next(j for j in range(1, mu + 1) if (k - j) % mu == 0)
+
+
+def class_form(mu, k0):
+    """C(mu, k0) = [[x0, 0, mu], [0, 1, 0], [y0, 0, k0]] as nested lists.
+
+    x0 is the inverse of k0 mod mu in [1, mu], found by search, and
+    x0 k0 - y0 mu = 1; for mu = 0 it is diag(k0, 1, k0).
+    """
+    if mu == 0:
+        return [[k0, 0, 0], [0, 1, 0], [0, 0, k0]]
+    x0 = next(x for x in range(1, mu + 1) if (x * k0 - 1) % mu == 0)
+    return [[x0, 0, mu], [0, 1, 0], [(x0 * k0 - 1) // mu, 0, k0]]
+
+
 def _product_reduce(m):
     """The reduction moves applied as 3x3 products: (left, right, output).
 

@@ -256,6 +256,14 @@ def test_reduce_rejects_non_homology_hopf(capsys):
     assert "gcd(g, h) = gcd(2, 4) = 2" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--standard"]], ids=["normal", "standard"])
+def test_reduce_refuses_mu_zero(capsys, flags):
+    # The private class path reaches C(0, 1) = I; the public command refuses it.
+    code, out, err = run(capsys, "reduce", *flags, "--matrix", "1,0,0,0,1,0,0,0,1")
+    assert (code, out) == (4, "")
+    assert err == "error: gcd(g, h) = gcd(0, 0) = 0 != 1: not a homology Hopf gluing\n"
+
+
 def test_verify_roundtrip_via_files(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "--matrix", "1,0,2,0,1,1,0,0,1")
     cert_path = tmp_path / "cert.json"

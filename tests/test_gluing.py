@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -184,6 +185,28 @@ def test_params_validate_completion():
         LogTransformParams(1, 0, 0, completion=IntMatrix.identity(3))
     with pytest.raises(NotPrimitiveError):
         LogTransformParams(2, 0, 2)
+
+
+#: sha256 over random_completion(t, seed) for every primitive t of
+#: [-2, 2]^3 and seeds 0-9, one repr per line: the seeded stream.
+RANDOM_COMPLETION_DIGEST = "74eed7432774d0d666548a0f5aa47edce362905fc13f7164e697368c59fe816f"
+
+
+def test_unchecked_completions_have_the_checked_properties():
+    # Neither completion is re-checked when it is built, so check the
+    # kept determinant, the shape and the third column here.
+    digest = hashlib.sha256()
+    for t in itertools.product(range(-2, 3), repeat=3):
+        if math.gcd(*t) != 1:
+            continue
+        completions = [LogTransformParams(*t).completion]
+        completions += [random_completion(t, seed) for seed in range(10)]
+        for c in completions:
+            assert c.det == determinant(c.m) == 1
+            assert (c.m.rows, c.m.cols, c.m.col(2)) == (3, 3, t)
+        for c in completions[1:]:
+            digest.update((repr(c.m.to_lists()) + "\n").encode())
+    assert digest.hexdigest() == RANDOM_COMPLETION_DIGEST
 
 
 # Third column (0, 0, 1), as (a, b, p) = (0, 0, 1) asks, but determinant -1.

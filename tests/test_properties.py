@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfglue.gluing import is_extendable
+from hopfglue.gluing import GluingMatrix, _reduce, is_extendable
 from hopfglue.linalg import (
     IntMatrix,
     UnimodularMatrix,
@@ -13,8 +13,10 @@ from hopfglue.linalg import (
     extended_gcd,
     gcd_of_k_minors,
     inverse_unimodular,
+    random_sl3,
     smith_normal_form,
 )
+from oracles import certificate_error, class_form, class_of_column
 
 ints = st.integers(min_value=-1000, max_value=1000)
 small = st.integers(min_value=-30, max_value=30)
@@ -88,3 +90,19 @@ def test_extendables_form_a_group(x, y):
     assert is_extendable(x)
     assert is_extendable(x @ y)
     assert is_extendable(inverse_unimodular(UnimodularMatrix(x)).m)
+
+
+# The class (mu, k0) is an invariant of the double coset E M E, E the
+# extendable maps: the class path reaches the same C(mu, k0) from L M R.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 40), extendables(), extendables())
+def test_extendable_factors_keep_the_class(seed, word_length, left, right):
+    m = random_sl3(seed, word_length).m
+    moved = left @ m @ right
+    mu, k0 = _reduce(GluingMatrix(m))[2:4]
+    assert (mu, k0) == class_of_column(*m.col(2))
+    factors_left, factors_right, moved_mu, moved_k0, _ = _reduce(GluingMatrix(moved))
+    assert (moved_mu, moved_k0) == (mu, k0)
+    assert certificate_error(moved.to_lists(), [f.to_lists() for f in factors_left],
+                             [f.to_lists() for f in factors_right],
+                             class_form(mu, k0)) is None
