@@ -54,7 +54,11 @@ class NotHomologyHopfError(ValueError):
 
 
 class ReductionError(RuntimeError):
-    """Kept for callers that catch it; the library no longer raises it."""
+    """Kept for callers that catch it; the library no longer raises it.
+
+    Deprecated: nothing raises it, so a handler for it never runs.  It
+    will be removed in a later release.
+    """
 
 
 # The meridian sign flip, the standard gluing N0 and the gluing zeta.
@@ -217,6 +221,10 @@ def zeta_matrix() -> GluingMatrix:
     alpha to alpha, beta to beta, and the meridian gamma to alpha * gamma^-1,
     giving [[1, 0, 1], [0, 1, 0], [0, 0, -1]] (determinant -1: the map
     reverses the boundary orientation).
+
+    Deprecated: it equals ``compose_two_fiber(t, t)`` for the trivial
+    surgery ``t = LogTransformParams(0, 0, 1)``, as the tests pin.  It
+    will be removed in a later release.
     """
     return GluingMatrix(_ZETA.m)
 
@@ -327,6 +335,10 @@ def calibrated_zeta_variant() -> str:
     the raw zeta, makes the composed-matrix computation match the direct
     two-relation presentation; the tests check that on a fixed agreement
     suite.  The name is embedded in serialized output as ``zeta_variant``.
+
+    Deprecated: the convention is fixed, so this only returns a constant.
+    It will be removed in a later release; documents keep the field
+    ``"zeta_variant": "zeta"``.
     """
     return "zeta"
 
@@ -536,5 +548,7 @@ def framing_block(n: NormalForm) -> IntMatrix:
     This is the leftover parameter of the reduction; it acts as the
     framing of the final handle attachment and has no effect on the
     diffeomorphism type.
+
+    Deprecated: it is ``n.block``.  It will be removed in a later release.
     """
     return n.block

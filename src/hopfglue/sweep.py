@@ -226,6 +226,8 @@ def sweep(spec: SweepSpec, parallel: bool = False) -> list:
     Non-primitive tuples are skipped (count them with ``count_skipped``).
     ``parallel`` is accepted for compatibility and changes nothing: cells
     cost microseconds, so evaluating them on threads only adds overhead.
+    Deprecated: the ``parallel`` argument will be removed in a later
+    release; call ``sweep(spec)``.
     """
     return list(iter_sweep(spec))
 

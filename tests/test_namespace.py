@@ -150,3 +150,39 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "hopfglue"))
 """
     assert _run(probe) == ("['hopfglue', 'hopfglue.abelian', 'hopfglue.gluing', "
                            "'hopfglue.linalg', 'hopfglue.sweep']\n")
+
+
+def test_only_selftest_and_a_smith_form_call_compile_the_elimination():
+    # Outside selftest no command computes a Smith form, so no command
+    # loads hopfglue._smith; the first smith_normal_form call does.
+    probe = """
+import contextlib, io, sys
+from hopfglue import IntMatrix, smith_normal_form
+from hopfglue.cli import main
+
+def run(*argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    assert "hopfglue._smith" not in sys.modules, argv
+    return out.getvalue()
+
+run("classify", "--matrix", "1,0,2,0,1,1,0,0,1")
+run("compose", "--plus", "1,0,2", "--minus", "0,1,3")
+cert = run("reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1")
+assert run("verify", stdin=cert) == "VALID\\n"
+run("sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+    "--p-range=-3:3", "--q-range=-3:3", "--format", "csv")
+run("sweep", "--random", "5", "--seed", "2", "--word-length", "12")
+assert smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal() == (2, 4)
+print(sorted(m for m in sys.modules if m.startswith("hopfglue._")))
+"""
+    assert _run(probe) == "['hopfglue._smith']\n"
+    probe = """
+import contextlib, io, sys
+from hopfglue.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["selftest"]) == 0
+print("hopfglue._smith" in sys.modules)
+"""
+    assert _run(probe) == "True\n"
