@@ -24,14 +24,15 @@ from hopfglue import (
     pi1_two_log_transforms,
     random_completion,
     torsion_order,
-    zeta_matrix,
 )
 
 # ---------------------------------------------------------------------------
 # The product S^1 x S^3 itself: its gluing matrix has meridian column
 # (1, 0, -1), so the group is Z and it is (trivially) a homology S^1 x S^3.
+# It is the composed gluing of two trivial surgeries.
 # ---------------------------------------------------------------------------
-z = zeta_matrix()
+trivial = LogTransformParams(0, 0, 1)
+z = compose_two_fiber(trivial, trivial)
 print("gluing of S^1 x S^3:", z.matrix.to_lists())
 print("pi_1 =", pi1_single_gluing(z), " homology Hopf:", is_homology_hopf(z))
 print()

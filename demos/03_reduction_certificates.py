@@ -20,15 +20,15 @@ import math
 
 from hopfglue import (
     GluingMatrix,
+    LogTransformParams,
     ReductionCertificate,
-    framing_block,
+    compose_two_fiber,
     is_extendable,
     normalize_to_sl3,
     random_sl3,
     reduce_to_normal_form,
     reduce_to_standard,
     verify_certificate,
-    zeta_matrix,
 )
 from hopfglue.linalg import IntMatrix
 
@@ -41,7 +41,7 @@ print("input:          ", cert.input.to_lists())
 print("left factors:   ", [f.to_lists() for f in cert.left_factors])
 print("right factors:  ", [f.to_lists() for f in cert.right_factors])
 print("output:         ", cert.output.to_lists())
-print("framing block:  ", framing_block(nf).to_lists())
+print("framing block:  ", nf.block.to_lists())
 print("verifies:       ", verify_certificate(cert))
 print()
 
@@ -54,7 +54,8 @@ print()
 # ---------------------------------------------------------------------------
 # The gluing of S^1 x S^3 itself reduces to N0 after fixing orientation.
 # ---------------------------------------------------------------------------
-cert = reduce_to_standard(normalize_to_sl3(zeta_matrix()))
+trivial = LogTransformParams(0, 0, 1)
+cert = reduce_to_standard(normalize_to_sl3(compose_two_fiber(trivial, trivial)))
 print("normalized product gluing reduces to:", cert.output.to_lists())
 print()
 

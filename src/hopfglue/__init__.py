@@ -35,18 +35,18 @@ from .abelian import (
 )
 from .gluing import (
     CONVENTION, GluingMatrix, LogTransformParams, NormalForm, NotHomologyHopfError,
-    OrientationError, ReductionCertificate, ReductionError, calibrated_zeta_variant,
-    certificate_failure, compose_two_fiber, framing_block, is_extendable,
-    is_homology_hopf, normalize_to_sl3, pi1_single_gluing, pi1_two_log_transforms,
+    OrientationError, ReductionCertificate, calibrated_zeta_variant,
+    certificate_failure, compose_two_fiber, is_extendable, is_homology_hopf,
+    normalize_to_sl3, pi1_single_gluing, pi1_two_log_transforms,
     random_completion, reduce_to_normal_form, reduce_to_standard,
-    standard_gluing_matrix, verify_certificate, zeta_matrix,
+    standard_gluing_matrix, verify_certificate,
 )
 from .sweep import (
     SweepRecord, SweepSpec, SweepSpecError, SweepSummary, count_skipped,
     iter_sweep, summarize, sweep,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 #: Every name imported above; the submodules themselves are not exported.
 __all__ = sorted(name for name in globals()

@@ -53,15 +53,8 @@ class NotHomologyHopfError(ValueError):
     """The meridian-image pair (g, h) is not coprime."""
 
 
-class ReductionError(RuntimeError):
-    """Kept for callers that catch it; the library no longer raises it.
-
-    Deprecated: nothing raises it, so a handler for it never runs.  It
-    will be removed in a later release.
-    """
-
-
-# The meridian sign flip, the standard gluing N0 and the gluing zeta.
+# The meridian sign flip, the standard gluing N0 and the gluing zeta of the
+# two halves of S^1 x S^3, which sends the meridian gamma to alpha * gamma^-1.
 _FLIP = UnimodularMatrix(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
 _N0 = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
 _ZETA = UnimodularMatrix(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]]))
@@ -214,21 +207,6 @@ def _as_matrix(m) -> IntMatrix:
     return IntMatrix(m)
 
 
-def zeta_matrix() -> GluingMatrix:
-    """The gluing of the two solid-torus-times-torus halves of S^1 x S^3.
-
-    In the (alpha, beta, gamma) basis the boundary identification sends
-    alpha to alpha, beta to beta, and the meridian gamma to alpha * gamma^-1,
-    giving [[1, 0, 1], [0, 1, 0], [0, 0, -1]] (determinant -1: the map
-    reverses the boundary orientation).
-
-    Deprecated: it equals ``compose_two_fiber(t, t)`` for the trivial
-    surgery ``t = LogTransformParams(0, 0, 1)``, as the tests pin.  It
-    will be removed in a later release.
-    """
-    return GluingMatrix(_ZETA.m)
-
-
 def standard_gluing_matrix() -> GluingMatrix:
     """The normal form with identity block: the reduction target N0."""
     return GluingMatrix(_N0)
@@ -337,7 +315,7 @@ def calibrated_zeta_variant() -> str:
     suite.  The name is embedded in serialized output as ``zeta_variant``.
 
     Deprecated: the convention is fixed, so this only returns a constant.
-    It will be removed in a later release; documents keep the field
+    It stays while perfbench's set-up calls it; documents keep the field
     ``"zeta_variant": "zeta"``.
     """
     return "zeta"
@@ -540,15 +518,3 @@ def verify_certificate(cert: ReductionCertificate) -> bool:
     Never raises on bad certificates; they simply fail.
     """
     return certificate_failure(cert) is None
-
-
-def framing_block(n: NormalForm) -> IntMatrix:
-    """The 2x2 determinant-1 block of a normal form.
-
-    This is the leftover parameter of the reduction; it acts as the
-    framing of the final handle attachment and has no effect on the
-    diffeomorphism type.
-
-    Deprecated: it is ``n.block``.  It will be removed in a later release.
-    """
-    return n.block

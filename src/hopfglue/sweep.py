@@ -220,14 +220,10 @@ def iter_sweep(spec: SweepSpec):
     return records
 
 
-def sweep(spec: SweepSpec, parallel: bool = False) -> list:
+def sweep(spec: SweepSpec) -> list:
     """All records of ``iter_sweep(spec)`` as a list, in canonical order.
 
     Non-primitive tuples are skipped (count them with ``count_skipped``).
-    ``parallel`` is accepted for compatibility and changes nothing: cells
-    cost microseconds, so evaluating them on threads only adds overhead.
-    Deprecated: the ``parallel`` argument will be removed in a later
-    release; call ``sweep(spec)``.
     """
     return list(iter_sweep(spec))
 

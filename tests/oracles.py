@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 from hopfglue.cli import DocumentError
 from hopfglue.gluing import (
+    GluingMatrix,
     NormalForm,
     NotHomologyHopfError,
     OrientationError,
@@ -20,6 +21,10 @@ from hopfglue.gluing import (
 )
 from hopfglue.linalg import IntMatrix, sl2_carry_to_e1
 from hopfglue.sweep import SweepSummary
+
+#: The gluing zeta of the two halves of S^1 x S^3, written out: alpha and
+#: beta are fixed and the meridian gamma goes to alpha * gamma^-1.
+ZETA = GluingMatrix(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, -1]]))
 
 
 def naive_product(a, b):

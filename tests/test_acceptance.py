@@ -22,7 +22,6 @@ from hopfglue.gluing import (
     reduce_to_standard,
     standard_gluing_matrix,
     verify_certificate,
-    zeta_matrix,
 )
 from hopfglue.linalg import (
     IntMatrix,
@@ -32,7 +31,7 @@ from hopfglue.linalg import (
     smith_normal_form,
 )
 
-from oracles import leibniz_det, matrix_from_index, naive_product
+from oracles import ZETA, leibniz_det, matrix_from_index, naive_product
 
 
 def report(number: int, message: str):
@@ -131,7 +130,7 @@ def _end_form_shape(m: IntMatrix) -> bool:
 
 def test_criterion_4_reduction_realization():
     start = time.monotonic()
-    inputs = [normalize_to_sl3(zeta_matrix())]
+    inputs = [normalize_to_sl3(ZETA)]
     seed = 0
     while len(inputs) < 1001:
         m = GluingMatrix(random_sl3(seed, 12))

@@ -44,10 +44,10 @@ from hopfglue.gluing import (
     reduce_to_normal_form,
     reduce_to_standard,
     standard_gluing_matrix,
-    zeta_matrix,
 )
 from hopfglue.linalg import IntMatrix, random_sl3
 from hopfglue.sweep import SweepRecord, SweepSpec, SweepSummary, count_skipped, summarize, sweep
+from oracles import ZETA
 from oracles import lists_to_matrix as _first_lists_to_matrix
 from oracles import record_json as _record_json
 
@@ -92,7 +92,7 @@ def test_classify_rejects_non_unimodular(capsys):
 
 def test_classify_from_file(tmp_path, capsys):
     doc = tmp_path / "m.json"
-    doc.write_text(json.dumps(matrix_document(zeta_matrix())))
+    doc.write_text(json.dumps(matrix_document(ZETA)))
     code, out, _ = run(capsys, "classify", "--file", str(doc))
     assert code == 0
     assert json.loads(out)["homology_hopf"] is True
@@ -104,7 +104,7 @@ def test_classify_rejects_broken_documents(tmp_path, capsys):
     assert run(capsys, "classify", "--file", str(doc))[0] == 2
     doc.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
     assert run(capsys, "classify", "--file", str(doc))[0] == 2
-    doc.write_text(json.dumps({"matrix": zeta_matrix().matrix.to_lists(),
+    doc.write_text(json.dumps({"matrix": ZETA.matrix.to_lists(),
                                "convention": "rows-are-images"}))
     assert run(capsys, "classify", "--file", str(doc))[0] == 2
     assert run(capsys, "classify", "--file", str(tmp_path / "missing.json"))[0] == 2
@@ -118,7 +118,7 @@ def test_compose_trivial_surgeries(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["agreement"] is True
-    assert report["composed_matrix"] == zeta_matrix().matrix.to_lists()
+    assert report["composed_matrix"] == ZETA.matrix.to_lists()
     assert report["group"] == {"rank": 1, "invariant_factors": []}
 
 
@@ -245,7 +245,7 @@ def test_reduce_normalizes_orientation(capsys):
     code, out, _ = run(capsys, "reduce", "--standard", "--matrix", ZETA_ARG)
     assert code == 0
     doc = json.loads(out)
-    assert doc["input"] == normalize_to_sl3(zeta_matrix()).matrix.to_lists()
+    assert doc["input"] == normalize_to_sl3(ZETA).matrix.to_lists()
     assert doc["output"] == standard_gluing_matrix().matrix.to_lists()
 
 
@@ -859,9 +859,9 @@ def test_selftest(capsys):
 
 
 def test_matrix_document_roundtrip():
-    doc = matrix_document(zeta_matrix())
-    assert parse_matrix_document(doc) == zeta_matrix()
-    assert parse_matrix_document(json.loads(json.dumps(doc))) == zeta_matrix()
+    doc = matrix_document(ZETA)
+    assert parse_matrix_document(doc) == ZETA
+    assert parse_matrix_document(json.loads(json.dumps(doc))) == ZETA
 
 
 def test_certificate_document_roundtrip():

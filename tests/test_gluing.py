@@ -9,7 +9,6 @@ import pytest
 from hopfglue.abelian import FgAbelianGroup, Presentation, group_from_presentation
 from hopfglue.gluing import (
     GluingMatrix,
-    ReductionError,
     LogTransformParams,
     NormalForm,
     NotHomologyHopfError,
@@ -18,7 +17,6 @@ from hopfglue.gluing import (
     calibrated_zeta_variant,
     certificate_failure,
     compose_two_fiber,
-    framing_block,
     is_extendable,
     is_homology_hopf,
     normalize_to_sl3,
@@ -29,7 +27,6 @@ from hopfglue.gluing import (
     reduce_to_standard,
     standard_gluing_matrix,
     verify_certificate,
-    zeta_matrix,
 )
 from hopfglue.linalg import (
     IntMatrix,
@@ -44,7 +41,7 @@ from hopfglue.linalg import (
 )
 from hopfglue.selftest import _random_primitive_triple
 
-from oracles import product_reduce_to_normal_form, product_reduce_to_standard
+from oracles import ZETA, product_reduce_to_normal_form, product_reduce_to_standard
 from test_acceptance import _criterion_pairs
 
 
@@ -59,7 +56,7 @@ def _random_primitive(rng, bound=12):
 
 
 def test_zeta_columns_and_determinant():
-    z = zeta_matrix()
+    z = ZETA
     assert z.matrix.col(0) == (1, 0, 0)
     assert z.matrix.col(1) == (0, 1, 0)
     assert z.matrix.col(2) == (1, 0, -1)
@@ -68,7 +65,7 @@ def test_zeta_columns_and_determinant():
 
 
 def test_zeta_is_an_involution():
-    z = zeta_matrix().matrix
+    z = ZETA.matrix
     assert z @ z == IntMatrix.identity(3)
 
 
@@ -118,7 +115,7 @@ def test_normalize_identity_fixed():
 
 
 def test_normalize_zeta():
-    z = normalize_to_sl3(zeta_matrix())
+    z = normalize_to_sl3(ZETA)
     assert z.matrix == IntMatrix([[1, 0, -1], [0, 1, 0], [0, 0, 1]])
     assert z.det == 1
 
@@ -146,7 +143,7 @@ def test_meridian_gcd_robust_under_sign_flips():
 
 
 def test_pi1_single_pinned_cases():
-    assert pi1_single_gluing(zeta_matrix()) == FgAbelianGroup(1, ())
+    assert pi1_single_gluing(ZETA) == FgAbelianGroup(1, ())
     rank2 = GluingMatrix(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert (rank2.g, rank2.h) == (0, 0)
     assert pi1_single_gluing(rank2) == FgAbelianGroup(2, ())
@@ -163,7 +160,7 @@ def test_pi1_single_matches_presentation_route():
 
 
 def test_is_homology_hopf():
-    assert is_homology_hopf(zeta_matrix())
+    assert is_homology_hopf(ZETA)
     assert not is_homology_hopf(GluingMatrix(IntMatrix([[1, 0, 2], [0, 1, 4], [0, 0, 1]])))
     assert is_homology_hopf(GluingMatrix(IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])))
 
@@ -232,7 +229,7 @@ def test_params_reject_a_completion_that_is_not_3x3(completion):
 
 def test_compose_identity_params_gives_zeta():
     trivial = LogTransformParams(0, 0, 1)
-    assert compose_two_fiber(trivial, trivial) == zeta_matrix()
+    assert compose_two_fiber(trivial, trivial) == ZETA
 
 
 def test_compose_is_unimodular():
@@ -337,7 +334,7 @@ _VARIANT_FLAGS = {
 
 def _variant_matrix(name):
     left, right = _VARIANT_FLAGS[name]
-    z = zeta_matrix().matrix
+    z = ZETA.matrix
     if left:
         z = _FLIP @ z
     if right:
@@ -373,7 +370,7 @@ def _variant_agrees(name):
 
 def test_calibration_selects_raw_zeta():
     assert calibrated_zeta_variant() == "zeta"
-    assert _variant_matrix(calibrated_zeta_variant()) == zeta_matrix().matrix
+    assert _variant_matrix(calibrated_zeta_variant()) == ZETA.matrix
 
 
 def test_flipped_variants_fail_the_agreement_suite():
@@ -425,7 +422,7 @@ def test_reduce_random_inputs():
         nf, cert = reduce_to_normal_form(m)
         assert verify_certificate(cert)
         assert _end_form_shape(cert.output)
-        assert determinant(framing_block(nf)) == 1
+        assert determinant(nf.block) == 1
         # the reduction never changes the fundamental group (both are Z)
         assert pi1_single_gluing(m) == pi1_single_gluing(GluingMatrix(cert.output))
         for f in cert.left_factors + cert.right_factors:
@@ -434,7 +431,7 @@ def test_reduce_random_inputs():
 
 def test_reduce_rejects_wrong_orientation():
     with pytest.raises(OrientationError):
-        reduce_to_normal_form(zeta_matrix())
+        reduce_to_normal_form(ZETA)
 
 
 def test_reduce_rejects_non_homology_hopf():
@@ -461,7 +458,7 @@ def test_standard_pinned_example():
 
 
 def test_standard_from_normalized_zeta():
-    cert = reduce_to_standard(normalize_to_sl3(zeta_matrix()))
+    cert = reduce_to_standard(normalize_to_sl3(ZETA))
     assert verify_certificate(cert)
     assert cert.output == standard_gluing_matrix().matrix
 
@@ -568,12 +565,6 @@ def test_verify_never_raises_on_malformed_data():
 
 
 # --- framing block ------------------------------------------------------------------------
-
-
-def test_framing_block_pinned_cases():
-    assert framing_block(NormalForm(IntMatrix.identity(2))) == IntMatrix.identity(2)
-    blk = IntMatrix([[0, 1], [-1, 2]])
-    assert framing_block(NormalForm(blk)) == blk
 
 
 def test_normal_form_validates_block():
@@ -711,7 +702,7 @@ def test_certificate_failure_checks_factors_before_the_input():
 
 
 def test_gluing_matrix_value_semantics():
-    z = zeta_matrix()
+    z = ZETA
     assert z == GluingMatrix(z.matrix.to_lists())
     assert z.__eq__(z.matrix) is NotImplemented and z != z.matrix
     assert hash(z) == hash(GluingMatrix(z.m)) and hash(z) != hash(z.matrix)
@@ -719,7 +710,7 @@ def test_gluing_matrix_value_semantics():
 
 
 def test_gluing_matrix_wraps_a_gluing_and_rejects_other_sizes():
-    z = zeta_matrix()
+    z = ZETA
     assert GluingMatrix(z) == z
     with pytest.raises(ValueError, match="gluing matrices are 3x3"):
         GluingMatrix(UnimodularMatrix([[0, 1], [-1, 0]]))
@@ -733,10 +724,3 @@ def test_normal_form_from_nested_lists():
     nf = NormalForm([[0, 1], [-1, 2]])
     assert nf == NormalForm(IntMatrix([[0, 1], [-1, 2]]))
     assert isinstance(nf.block, IntMatrix)
-
-
-def test_reduction_error_stays_exported():
-    import hopfglue
-
-    assert hopfglue.ReductionError is ReductionError
-    assert issubclass(ReductionError, RuntimeError)

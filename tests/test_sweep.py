@@ -81,13 +81,6 @@ def test_sweep_determinism():
     assert c == d
 
 
-def test_parallel_equals_serial():
-    spec = SweepSpec.tuples(a=(-1, 1), b=(-1, 1), p=(0, 2), c=(1, 1), d=(0, 1), q=(0, 2))
-    assert sweep(spec, parallel=True) == sweep(spec, parallel=False)
-    mspec = SweepSpec.matrices(60, seed=3)
-    assert sweep(mspec, parallel=True) == sweep(mspec, parallel=False)
-
-
 def test_non_primitive_cells_are_skipped_and_counted():
     spec = SweepSpec.tuples(a=(0, 0), b=(0, 0), p=(0, 2), c=(0, 0), d=(0, 0), q=(1, 1))
     # (0,0,p) is primitive only for p = 1; (0,0,1) always primitive
