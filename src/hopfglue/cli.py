@@ -19,12 +19,20 @@ reports ``pi1_two_log_transforms`` of its two surgeries and
 ``group_of_mu`` of the composed gluing and checks them with
 ``is_isomorphic``.  Every result type is an immutable tuple of its
 fields, not a dataclass, so no command imports ``dataclasses`` or the
-``inspect`` it would pull in.  When the first argument names a command,
-only that command's subparser is built.  ``json`` is imported only to
-read a document or to print a classify, compose or reduce report; sweeps
-format their JSON and CSV directly.  A sweep writes its header at once
-and then its rows in chunks of about a thousand, since under
-``PYTHONUNBUFFERED`` every write is a system call.
+``inspect`` it would pull in.
+
+Each command's options are one entry of ``_COMMANDS``.  ``main`` first
+matches the arguments against that table without argparse (see
+``_matched_args``).  Help, every usage error and whatever the matcher
+declines go to the argparse parser built from the same table, with only
+the named command's subparser when the first argument names one.  So a
+command given with its exact options, each once, loads neither argparse
+nor the gettext and locale it pulls in.  JSON is written by
+``_json_text``, byte for byte as ``json.dumps(obj, indent=2,
+sort_keys=True)`` writes it, so ``json`` is imported only to read a
+document.  A sweep writes its header at once and then its rows in chunks
+of about a thousand, since under ``PYTHONUNBUFFERED`` every write is a
+system call.
 
 ``main`` runs one command and returns its exit code; tests, the benchmark
 and library callers call it, and it leaves the garbage collector alone.
@@ -32,9 +40,9 @@ and library callers call it, and it leaves the garbage collector alone.
 and the installed ``hopfglue`` script: it calls ``main`` and then
 ``gc.freeze()``.  That moves every live object into the permanent
 generation, which the interpreter's exit-time collections skip, so they
-no longer walk all that ``site``, argparse, json and the package created;
-that walk took close to a tenth of a short process.  The rest of shutdown
-still runs: atexit handlers (``coverage run`` writes its data from one),
+no longer walk all that ``site`` and the package created; that walk took
+close to a tenth of a short process.  The rest of shutdown still runs:
+atexit handlers (``coverage run`` writes its data from one),
 the final flush of stdout, which the closed-stdout path relies on, and
 module teardown.  ``os._exit`` would be a little faster still, but it
 ends the process inside ``run``, before any atexit handler and before
@@ -43,11 +51,11 @@ ends the process inside ``run``, before any atexit handler and before
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .abelian import is_isomorphic
 from .gluing import (
@@ -198,12 +206,33 @@ def _gluing_report(gm: GluingMatrix) -> dict:
     }
 
 
-def _emit_json(obj) -> None:
-    import json
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, for what the CLI writes.
 
+    That is dicts with str keys, lists, tuples, ints, bools and strings of
+    printable ASCII other than a double quote or backslash, which json.dumps
+    writes between double quotes as they are.  ``indent`` is the newline and
+    indentation that end the line before ``obj``.  An int beyond the int/str
+    conversion limit raises ValueError, as it does in json.dumps.
+    """
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return "%d" % obj
+    if isinstance(obj, str):
+        return '"%s"' % obj
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = ['"%s": %s' % (k, _json_text(obj[k], inner)) for k in sorted(obj)]
+        return "{%s%s}" % (inner + ("," + inner).join(items), indent) if items else "{}"
+    items = [_json_text(v, inner) for v in obj]
+    return "[%s%s]" % (inner + ("," + inner).join(items), indent) if items else "[]"
+
+
+def _emit_json(obj) -> None:
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    except ValueError as exc:  # the only failure on plain ints, lists and dicts
+        text = _json_text(obj)
+    except ValueError as exc:  # an int beyond the int/str conversion limit
         raise OutputError() from exc
     sys.stdout.write(text + "\n")
 
@@ -339,8 +368,11 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_spec_from_args(args):
+    # A flag given an empty value, as in --p-range=, is given.
+    given = [flag is not None for flag in (args.direction_plus, args.direction_minus,
+                                           args.p_range, args.q_range)]
     if args.random is not None:
-        if args.p_range or args.q_range or args.direction_plus or args.direction_minus:
+        if any(given):
             raise DocumentError("--random cannot be combined with tuple-sweep flags")
         return SweepSpec.matrices(
             sample_count=args.random,
@@ -348,7 +380,7 @@ def _sweep_spec_from_args(args):
             word_length=args.word_length,
             homology_hopf_only=args.homology_hopf_only,
         )
-    if not (args.direction_plus and args.direction_minus and args.p_range and args.q_range):
+    if not all(given):
         raise DocumentError(
             "tuple sweeps need --direction-plus, --direction-minus, "
             "--p-range and --q-range (or use --random N)"
@@ -431,20 +463,12 @@ def _write_json_records(write, records):
     write("]" if sep == "\n    " else "\n  ]")
 
 
-# The sweep summary as json.dumps(indent=2, sort_keys=True) prints it at
-# the document's second level; one template per (mu, count) pair.
-_SUMMARY = (
-    '{\n    "counts_by_mu": %s,\n    "homology_hopf": %d,\n'
-    '    "skipped_non_primitive": %d,\n    "total": %d\n  }'
-)
-_MU_COUNT = "[\n        %d,\n        %d\n      ]"
-
-
 def _summary_json_text(s, skipped: int) -> str:
+    """The sweep summary as the document holds it, at its second level."""
+    summary = {"counts_by_mu": s.mu_counts, "homology_hopf": s.homology_hopf_count,
+               "skipped_non_primitive": skipped, "total": s.total}
     try:
-        pairs = ",\n      ".join([_MU_COUNT % kv for kv in s.mu_counts])
-        counts = "[\n      %s\n    ]" % pairs if pairs else "[]"
-        return _SUMMARY % (counts, s.homology_hopf_count, skipped, s.total)
+        return _json_text(summary, "\n  ")
     except ValueError as exc:  # an int beyond the int/str conversion limit
         raise OutputError() from exc
 
@@ -456,12 +480,16 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(CSV_HEADER + "\n")
     else:
         # The bytes of _emit_json on the whole document, written as the
-        # records come: sorted, the keys are convention, mode, records,
-        # summary and zeta_variant, so everything after the records is known
-        # by then.  The three tags are lowercase ASCII words and dashes,
-        # which json.dumps prints as they are between double quotes.
-        sys.stdout.write('{\n  "convention": "%s",\n  "mode": "%s",\n  "records": ['
-                         % (CONVENTION, spec.mode))
+        # records come.  Sorted, its keys are convention, mode, records,
+        # summary and zeta_variant, and the three tags hold no bracket or
+        # brace, so the document with an empty records array and summary
+        # splits at its "[]" and "{}" into the text around the two.
+        head, _, rest = _json_text({
+            "convention": CONVENTION, "mode": spec.mode, "records": [], "summary": {},
+            "zeta_variant": calibrated_zeta_variant(),
+        }).partition("[]")
+        before_summary, _, tail = rest.partition("{}")
+        sys.stdout.write(head + "[")
     parts = []
 
     def write(text: str) -> None:
@@ -476,9 +504,7 @@ def cmd_sweep(args) -> int:
                 write(row)
         else:
             s = summarize(_write_json_records(write, iter_sweep(spec)))
-            write(',\n  "summary": %s,\n  "zeta_variant": "%s"\n}\n'
-                  % (_summary_json_text(s, count_skipped(spec)),
-                     calibrated_zeta_variant()))
+            write(before_summary + _summary_json_text(s, count_skipped(spec)) + tail + "\n")
     finally:
         # Also when a row raises OutputError: every row before it is written.
         sys.stdout.write("".join(parts))
@@ -495,78 +521,65 @@ def cmd_selftest(args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
-def _add_matrix_input(p):
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument(
-        "--matrix",
-        help="9 comma-separated integers, row-major",
-    )
-    grp.add_argument("--file", help="path to a matrix document (JSON)")
-
-
-def _add_compose_args(p):
-    p.add_argument("--plus", required=True, help="a,b,p triple")
-    p.add_argument("--minus", required=True, help="c,d,q triple")
-    p.add_argument("--plus-completion", help="explicit completion, 9 integers")
-    p.add_argument("--minus-completion", help="explicit completion, 9 integers")
-
-
-def _add_reduce_args(p):
-    _add_matrix_input(p)
-    p.add_argument(
-        "--standard",
-        action="store_true",
-        help="continue past the normal form to the fixed standard gluing",
-    )
-
-
-def _add_verify_args(p):
-    p.add_argument("--file", help="certificate document (JSON); stdin if omitted")
-
-
-def _add_sweep_args(p):
-    p.add_argument("--direction-plus", help="a,b for the first surgery")
-    p.add_argument("--direction-minus", help="c,d for the second surgery")
-    p.add_argument("--p-range", help="inclusive LO:HI for p")
-    p.add_argument("--q-range", help="inclusive LO:HI for q")
-    p.add_argument("--random", type=int, help="sweep N random gluing matrices instead")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--word-length", type=int, default=12)
-    p.add_argument("--homology-hopf-only", action="store_true")
-    # Accepted for compatibility; sweeps always run serially.
-    p.add_argument("--parallel", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 #: The help epilog of each command that takes comma-separated integers:
 #: argparse reads a separate value that starts with "-" as an option.
 _NEGATIVE_VALUES = ("A value that starts with '-' needs the --option=VALUE form, "
                     "as in --minus=-1,0,1.")
 
-#: Each command, in help order, with its help line, the function that runs
-#: it, the function that adds its arguments to its subparser and its epilog.
+#: The input of classify and reduce: exactly one of --matrix and --file.
+_MATRIX_INPUT = (
+    ("--matrix", {"help": "9 comma-separated integers, row-major"}),
+    ("--file", {"help": "path to a matrix document (JSON)"}),
+)
+
+#: Each command, in help order: its help line, the function that runs it,
+#: its epilog, its required group of mutually exclusive options (empty if it
+#: has none) and its other options.  An option is its flag and the keywords
+#: of its add_argument call; the group comes first in every usage line.
 _COMMANDS = {
-    "classify": ("fundamental group and homology type", cmd_classify, _add_matrix_input,
-                 _NEGATIVE_VALUES),
-    "compose": ("compose two fiber surgeries", cmd_compose, _add_compose_args,
-                _NEGATIVE_VALUES),
-    "reduce": ("reduce to normal form with a certificate", cmd_reduce, _add_reduce_args,
-               _NEGATIVE_VALUES),
-    "verify": ("check a reduction certificate", cmd_verify, _add_verify_args, None),
-    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _add_sweep_args,
-              _NEGATIVE_VALUES),
-    "selftest": ("run the built-in invariant suites", cmd_selftest, None, None),
+    "classify": ("fundamental group and homology type", cmd_classify, _NEGATIVE_VALUES,
+                 _MATRIX_INPUT, ()),
+    "compose": ("compose two fiber surgeries", cmd_compose, _NEGATIVE_VALUES, (), (
+        ("--plus", {"required": True, "help": "a,b,p triple"}),
+        ("--minus", {"required": True, "help": "c,d,q triple"}),
+        ("--plus-completion", {"help": "explicit completion, 9 integers"}),
+        ("--minus-completion", {"help": "explicit completion, 9 integers"}),
+    )),
+    "reduce": ("reduce to normal form with a certificate", cmd_reduce, _NEGATIVE_VALUES,
+               _MATRIX_INPUT, (
+        ("--standard", {"action": "store_true",
+                        "help": "continue past the normal form to the fixed standard gluing"}),
+    )),
+    "verify": ("check a reduction certificate", cmd_verify, None, (), (
+        ("--file", {"help": "certificate document (JSON); stdin if omitted"}),
+    )),
+    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _NEGATIVE_VALUES, (), (
+        ("--direction-plus", {"help": "a,b for the first surgery"}),
+        ("--direction-minus", {"help": "c,d for the second surgery"}),
+        ("--p-range", {"help": "inclusive LO:HI for p"}),
+        ("--q-range", {"help": "inclusive LO:HI for q"}),
+        ("--random", {"type": int, "help": "sweep N random gluing matrices instead"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--word-length", {"type": int, "default": 12}),
+        ("--homology-hopf-only", {"action": "store_true"}),
+        # Accepted for compatibility; sweeps always run serially.
+        ("--parallel", {"action": "store_true"}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    )),
+    "selftest": ("run the built-in invariant suites", cmd_selftest, None, (), ()),
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The hopfglue parser, for ``argv`` if it is given.
+def build_parser(argv=None):
+    """The hopfglue ``argparse.ArgumentParser``, for ``argv`` if it is given.
 
     When ``argv[0]`` names a command, only that command's subparser is
     built; otherwise (no argv, no command, ``--help``, an unknown command)
     all six are.  The single-command parser names all six in its usage
     line, so its error messages read as the full parser's would.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hopfglue",
         description="Invariants and certified reductions of T^2 x D^2 boundary gluings.",
@@ -579,19 +592,71 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     else:
         sub = parser.add_subparsers(dest="command", required=True)
         commands = _COMMANDS
-    for name, (help_line, fn, add_arguments, epilog) in commands.items():
+    for name, (help_line, fn, epilog, group, options) in commands.items():
         p = sub.add_parser(name, help=help_line, epilog=epilog)
-        if add_arguments is not None:
-            add_arguments(p)
+        if group:
+            add = p.add_mutually_exclusive_group(required=True).add_argument
+            for flag, keywords in group:
+                add(flag, **keywords)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(fn=fn)
     return parser
+
+
+def _matched_args(argv):
+    """The namespace ``build_parser(argv).parse_args(argv)`` returns, or None.
+
+    This answers without argparse in one case only: ``argv[0]`` is a command
+    and every later token is an exact long option of it, given at most once,
+    as ``--opt=value``, as ``--opt value`` with a value that does not start
+    with "-", or as a bare flag.  Every int and choice must convert and the
+    required options must be there.  Anything else is left to argparse:
+    help, abbreviations, repeats, values that start with "-" and every
+    usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, _, group, options = _COMMANDS[argv[0]]
+    table = dict(group + options)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        keywords = table.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if "action" in keywords:  # a store_true flag
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # a missing value declines as "-" does
+                if value.startswith("-"):
+                    return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        given[flag] = value
+    if (group and len(given.keys() & dict(group)) != 1
+            or any(kw.get("required") and flag not in given for flag, kw in options)):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn, **{
+        flag[2:].replace("-", "_"):
+            given.get(flag, kw.get("default", False if "action" in kw else None))
+        for flag, kw in table.items()
+    })
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            args = build_parser(argv).parse_args(argv)
+            args = _matched_args(argv) or build_parser(argv).parse_args(argv)
             code = args.fn(args)
         except SystemExit as exc:  # --help, or a usage error argparse reported
             code = int(exc.code or 0)

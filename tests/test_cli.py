@@ -20,8 +20,10 @@ from hopfglue.cli import (
     CSV_HEADER,
     DocumentError,
     OutputError,
+    FACTOR_ORDER,
     _compose_report,
     _group_report,
+    _json_text,
     _lists_to_matrix,
     _record_csv_row,
     _record_json_text,
@@ -33,8 +35,10 @@ from hopfglue.cli import (
     parse_matrix_document,
 )
 from hopfglue.gluing import (
+    CONVENTION,
     GluingMatrix,
     LogTransformParams,
+    calibrated_zeta_variant,
     compose_two_fiber,
     group_of_mu,
     normalize_to_sl3,
@@ -590,6 +594,62 @@ def test_record_text_is_the_indented_dump_of_its_dict():
         assert _record_json_text(r) == want.replace("\n", "\n    ")
 
 
+def test_record_text_is_the_writers_text_of_its_dict():
+    records = (sweep(MANY_MU_SPEC) + sweep(SweepSpec.matrices(80, seed=13, word_length=192))
+               + _hand_built_records())
+    for r in records:
+        assert _record_json_text(r) == _json_text(_record_json(r), "\n    ")
+
+
+_TAGS = (CONVENTION, FACTOR_ORDER, calibrated_zeta_variant(), "tuple", "matrix")
+_json_ints = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6),
+                       st.integers(-(10**600), 10**600), st.sampled_from([10**599, -(10**599)]))
+_json_keys = st.one_of(st.sampled_from(_TAGS), st.text("abcxyz_- :,[]{}@=", max_size=6))
+_json_like = st.recursive(
+    st.one_of(st.booleans(), _json_ints, st.sampled_from(_TAGS)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=_json_like)
+@example(obj={"a": [], "b": {}, "c": (), "d": [[]], "e": [{}], "f": {"g": ()}})
+def test_the_json_writer_writes_what_json_dumps_writes(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _strings_in(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _strings_in(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _strings_in(v)
+
+
+def test_every_string_the_cli_writes_is_printable_ascii_without_quote_or_backslash(capsys):
+    # The JSON writer puts strings between double quotes as they are.
+    strings = set(_TAGS)
+    for argv in (["classify", "--matrix", ZETA_ARG],
+                 ["compose", "--plus", "1,0,2", "--minus", "0,1,3"],
+                 ["reduce", "--matrix", "1,0,2,0,1,1,0,0,1"],
+                 ["reduce", "--standard", "--matrix", "1,0,2,0,1,1,0,0,1"],
+                 list(SWEEP_ARGS),
+                 ["sweep", "--random", "3"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        strings.update(_strings_in(json.loads(out)))
+    assert {"order", "counts_by_mu", "records", "tuple", "matrix"} <= strings
+    for text in strings:
+        assert text.isascii() and text.isprintable(), text
+        assert '"' not in text and "\\" not in text, text
+
+
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                     reason="needs an int/str conversion limit")
 def test_oversize_record_text_raises_output_error():
@@ -829,6 +889,14 @@ def test_sweep_invalid_flags(capsys):
     assert run(capsys, "sweep", "--random", "3", "--p-range", "0:1")[0] == 2
     assert run(capsys, "sweep", "--direction-plus", "1", "--direction-minus", "1,0",
                "--p-range", "0:1", "--q-range", "0:1")[0] == 2
+
+
+def test_a_tuple_flag_with_an_empty_value_is_given(capsys):
+    assert run(capsys, "sweep", "--random", "2", "--p-range=", "--format", "csv") == (
+        2, "", "error: --random cannot be combined with tuple-sweep flags\n")
+    assert run(capsys, "sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
+               "--p-range=", "--q-range", "0:1") == (
+        2, "", "error: --p-range must look like LO:HI\n")
 
 
 def test_bad_sweep_specs_exit_two_with_the_spec_message(capsys):
@@ -1194,7 +1262,42 @@ def test_importing_the_package_loads_the_gluing_layer():
     assert proc.stdout == "True True\n"
 
 
-def test_sweeps_write_their_output_without_loading_json():
+#: The six argv shapes of the benchmark's cli workload, as in its op pool.
+_WORKLOAD_ARGVS = (
+    ["classify", "--matrix=" + ZETA_ARG],
+    ["compose", "--plus=1,0,2", "--minus=-1,0,3"],
+    ["reduce", "--standard", "--matrix=1,0,2,0,1,1,0,0,1"],
+    ["verify"],
+    ["sweep", "--direction-plus=1,0", "--direction-minus=0,1", "--p-range=-2:2",
+     "--q-range=-2:2", "--format", "csv"],
+    ["sweep", "--random", "3", "--seed", "17", "--word-length", "24"],
+)
+
+
+def test_a_successful_command_loads_neither_argparse_nor_json(tmp_path):
+    matrix_doc = tmp_path / "matrix.json"
+    matrix_doc.write_text(json.dumps(matrix_document(ZETA)))
+    cert = json.dumps(certificate_document(
+        reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12))))))
+    probe = _MAIN_PROBE_OF % (("argparse", "gettext", "locale", "json"),)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    expected = [(argv, "0 ['json']\n" if argv == ["verify"] else "0 []\n")
+                for argv in _WORKLOAD_ARGVS]
+    expected += [
+        (["classify", "--file", str(matrix_doc)], "0 ['json']\n"),
+        (["reduce", "--help"], "0 ['argparse', 'gettext', 'locale']\n"),
+        (["sweep", "--format", "xml"], "2 ['argparse', 'gettext', 'locale']\n"),
+    ]
+    for argv, want in expected:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], input=cert,
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == want, (argv, proc.stdout)
+
+
+def test_sweeps_write_their_output_without_loading_json(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate_document(
+        reduce_to_standard(normalize_to_sl3(GluingMatrix(random_sl3(7, 12)))))))
     probe = _MAIN_PROBE_OF % (("json",),)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     sweep = ("sweep", "--direction-plus", "1,0", "--direction-minus", "0,1",
@@ -1202,7 +1305,7 @@ def test_sweeps_write_their_output_without_loading_json():
     for argv, want in [((*sweep, "--format", "csv"), "0 []\n"),
                        (sweep, "0 []\n"),
                        (("sweep", "--random", "3", "--format", "csv"), "0 []\n"),
-                       (("classify", "--matrix", ZETA_ARG), "0 ['json']\n")]:
+                       (("verify", "--file", str(cert)), "0 ['json']\n")]:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout == want, (argv, proc.stdout)
