@@ -75,23 +75,13 @@ class SweepSpec(_Value):
 
     @classmethod
     def tuples(cls, a, b, p, c, d, q, homology_hopf_only=False):
-        return cls(
-            mode=TUPLE_MODE,
-            a_range=a, b_range=b, p_range=p,
-            c_range=c, d_range=d, q_range=q,
-            homology_hopf_only=homology_hopf_only,
-        )
+        return cls(TUPLE_MODE, a, b, p, c, d, q, homology_hopf_only=homology_hopf_only)
 
     @classmethod
     def matrices(cls, sample_count, seed=0, word_length=12,
                  homology_hopf_only=False):
-        return cls(
-            mode=MATRIX_MODE,
-            sample_count=sample_count,
-            seed=seed,
-            word_length=word_length,
-            homology_hopf_only=homology_hopf_only,
-        )
+        return cls(MATRIX_MODE, sample_count=sample_count, seed=seed,
+                   word_length=word_length, homology_hopf_only=homology_hopf_only)
 
 
 class SweepRecord(_Value):
@@ -131,30 +121,37 @@ class SweepSummary(_Value):
         return dict(self.mu_counts)
 
 
-def _primitive_triples(xr, yr, zr):
-    """The primitive triples of three inclusive ranges, lexicographically."""
+def _columns(xr, yr, zr):
+    """The primitive triples of three inclusive ranges, as (x, y, zs) columns
+    in lexicographic order: zs is the z range when gcd(x, y) == 1 and its
+    units when gcd(x, y) == 0, both sized and read without a test per z,
+    else a one-pass generator of the z coprime to gcd(x, y)."""
     zs = range(zr[0], zr[1] + 1)
+    units = tuple(z for z in (-1, 1) if z in zs)
     for x in range(xr[0], xr[1] + 1):
         for y in range(yr[0], yr[1] + 1):
             g = math.gcd(x, y)
-            for z in zs:
-                if math.gcd(g, z) == 1:
-                    yield (x, y, z)
+            yield x, y, (zs if g == 1 else units if g == 0
+                         else (z for z in zs if math.gcd(g, z) == 1))
+
+
+def _primitive_triples(xr, yr, zr):
+    """The primitive triples of three inclusive ranges, lexicographically."""
+    return ((x, y, z) for x, y, zs in _columns(xr, yr, zr) for z in zs)
 
 
 def count_skipped(spec: SweepSpec) -> int:
     """How many grid cells a tuple sweep skips as non-primitive.
 
-    The grid size minus |primitive plus-triples| * |primitive minus-triples|.
+    The grid size minus the product of the halves' ``_columns`` sizes.
     """
     if spec.mode != TUPLE_MODE:
         return 0
     ranges = (spec.a_range, spec.b_range, spec.p_range,
               spec.c_range, spec.d_range, spec.q_range)
-    grid = math.prod(hi - lo + 1 for lo, hi in ranges)
-    plus = sum(1 for _ in _primitive_triples(*ranges[:3]))
-    minus = sum(1 for _ in _primitive_triples(*ranges[3:]))
-    return grid - plus * minus
+    plus, minus = (sum(zs.stop - zs.start if type(zs) is range else sum(1 for _ in zs)
+                       for *_, zs in _columns(*h)) for h in (ranges[:3], ranges[3:]))
+    return math.prod(hi - lo + 1 for lo, hi in ranges) - plus * minus
 
 
 def _record(mu: int, matrix: IntMatrix) -> SweepRecord:
@@ -165,56 +162,59 @@ def _record(mu: int, matrix: IntMatrix) -> SweepRecord:
 
 
 #: The most primitive minus-triples a tuple sweep holds in memory; past
-#: this many it generates them again for each plus triple instead.
+#: this many it generates its columns again for each plus triple instead.
 _MINUS_HELD = 1 << 16
 
 
 def _tuple_records(spec: SweepSpec):
-    """The records of a tuple sweep, built inline one plus triple at a time.
+    """The records of a tuple sweep, one plus triple and minus column at a time.
 
-    Each cell reads its group from ``gluing._GROUPS`` with one ``dict.get``
-    and calls ``group_of_mu`` only on a miss, so that function stays the
-    only writer of the bounded cache.  The dict is looked up through the
-    module once per sweep, so a rebound cache is seen by the next sweep.
+    Each cell reads its group with one ``dict.get`` from ``gluing._GROUPS``,
+    looked up once per sweep so the next sweep sees a rebound cache, and
+    calls ``group_of_mu``, the bounded cache's only writer, only on a miss.
     """
     ranges = (spec.c_range, spec.d_range, spec.q_range)
-    held = tuple(islice(_primitive_triples(*ranges), _MINUS_HELD + 1))
-    if len(held) > _MINUS_HELD:
-        held = None
+    held, room = [], _MINUS_HELD
+    for c, d, qs in _columns(*ranges):
+        qs = qs if type(qs) is range else tuple(islice(qs, room + 1))
+        if qs[room:]:  # more than room triples; len() of a huge range overflows
+            held = None
+            break
+        if qs:
+            room -= len(qs)
+            held.append((c, d, qs))
     gcd = math.gcd
     cached = gluing._GROUPS.get
     new = tuple.__new__
-    for tp in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
-        a, b, p = tp
+    for a, b, p in _primitive_triples(spec.a_range, spec.b_range, spec.p_range):
         r0 = a + p
-        for tm in (held if held is not None else _primitive_triples(*ranges)):
-            c, d, q = tm
-            # gluing._two_log_mu, with a + p hoisted out of the minus loop
-            mu = gcd(r0 * d - b * c, r0 * q + p * c, b * q + p * d)
-            # built unchecked, as _record builds it; a group is a two-item
-            # tuple, so always true, and `or` falls through only on a miss
-            yield new(SweepRecord, (mu, mu == 1, cached(mu) or group_of_mu(mu),
-                                    tp + tm, None))
+        for c, d, qs in (held if held is not None else _columns(*ranges)):
+            # gluing._two_log_mu, with its q-free minor and products hoisted
+            k, pc, pd = r0 * d - b * c, p * c, p * d
+            for q in qs:
+                mu = gcd(k, r0 * q + pc, b * q + pd)
+                # built unchecked, as _record builds it; a group is a two-item
+                # tuple, so always true, and `or` falls through only on a miss
+                yield new(SweepRecord, (mu, mu == 1, cached(mu) or group_of_mu(mu),
+                                        (a, b, p, c, d, q), None))
 
 
 def iter_sweep(spec: SweepSpec):
     """Yield the records of ``sweep(spec)`` lazily, in the same order.
 
     Tuple mode crosses the primitive plus-triples (a, b, p), iterated
-    lazily, with the primitive minus-triples (c, d, q), and computes each
-    cell's mu inline with the plus half hoisted.  Up to 2**16 minus
-    triples are held in memory; beyond that they are regenerated for each
-    plus triple, so memory stays bounded however large the ranges are.
+    lazily, with the minus half walked by (c, d) columns, the q-free
+    minors hoisted.  Up to 2**16 minus triples are held; past that their
+    columns are regenerated for each plus triple, so memory stays bounded
+    however large the ranges are.
     Matrix mode reads mu = gcd(g, h) straight off each sampled matrix.
     """
     if spec.mode == TUPLE_MODE:
         records = _tuple_records(spec)
     else:
-        records = (
-            _record(math.gcd(m[0, 2], m[1, 2]), m)
-            for m in (random_sl3(spec.seed + i, spec.word_length).m
-                      for i in range(spec.sample_count))
-        )
+        records = (_record(math.gcd(m[0, 2], m[1, 2]), m)
+                   for m in (random_sl3(spec.seed + i, spec.word_length).m
+                             for i in range(spec.sample_count)))
     if spec.homology_hopf_only:
         return (r for r in records if r.homology_hopf)
     return records

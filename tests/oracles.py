@@ -129,17 +129,20 @@ def record_json(r):
 def certificate_error(input_rows, left, right, output):
     """Why a reduction certificate given as nested lists fails, or None.
 
-    Every factor must have third column (0, 0, 1) and determinant +1 by
-    ``leibniz_det``, and ``naive_product`` must give
+    Every factor must have third column (0, 0, 1) and determinant +1, and
+    ``naive_product`` must give
     left[0] @ ... @ left[-1] @ input @ right[0] @ ... @ right[-1] == output.
+    With that third column the determinant is the upper-left 2x2 block's
+    a*d - c*b, expanded along the column.
     """
     for side, factors in (("left", left), ("right", right)):
         for i, f in enumerate(factors):
             column = [row[2] for row in f]
             if column != [0, 0, 1]:
                 return f"{side} factor {i} has third column {column}"
-            if leibniz_det(f) != 1:
-                return f"{side} factor {i} has determinant {leibniz_det(f)}"
+            det = f[0][0] * f[1][1] - f[1][0] * f[0][1]
+            if det != 1:
+                return f"{side} factor {i} has determinant {det}"
     product = input_rows
     for f in reversed(left):
         product = naive_product(f, product)
